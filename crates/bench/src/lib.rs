@@ -231,8 +231,8 @@ mod tests {
 }
 
 /// Call-site sugar over the unified [`ExecOptions`](atgis::ExecOptions)
-/// request API, so the figure benches and the `experiments` binary can
-/// drive the engine with one-call helpers instead of repeating the
+/// request API, so the figure benches, the `experiments` binary and the
+/// integration tests can drive the engine with one-call helpers instead of repeating the
 /// `run(...)` → [`RunOutcome`](atgis::RunOutcome) plumbing at every
 /// timed closure.
 mod runsugar {
@@ -281,6 +281,8 @@ mod runsugar {
 
     /// [`RunExt`]'s session-level counterpart over [`QuerySession::run`].
     pub trait SessionRunExt {
+        /// One query, default options.
+        fn exec1(&self, query: &Query) -> Result<QueryResult>;
         /// A batch, default options, collapsed.
         fn execb(&self, queries: &[Query]) -> Result<Vec<QueryResult>>;
         /// A batch with the amortisation breakdown.
@@ -288,6 +290,11 @@ mod runsugar {
     }
 
     impl SessionRunExt for QuerySession {
+        fn exec1(&self, query: &Query) -> Result<QueryResult> {
+            self.run(std::slice::from_ref(query), &ExecOptions::new())?
+                .into_single()
+        }
+
         fn execb(&self, queries: &[Query]) -> Result<Vec<QueryResult>> {
             self.run(queries, &ExecOptions::new())?.collapse()
         }

@@ -3,7 +3,7 @@
 //!
 //! AT-GIS's throughput comes from doing query processing *inside* the
 //! scan; a multi-tenant server extends that story by amortising the
-//! scan itself. [`Engine::execute_batch`] compiles submitted queries
+//! scan itself. [`Engine::run`] compiles submitted queries
 //! into a batch plan: every query contributes a per-query
 //! aggregate sink to **one** [`MultiSink`] fan-out, so a single
 //! transducer pass (the engine's configured PAT/FAT/Adaptive mode for
@@ -33,11 +33,11 @@
 //!    ([`crate::executor::run_grid_on`]) sharing the index and the
 //!    re-parse cache, then deduplicate per query.
 //!
-//! Results are **bit-identical** to per-query [`Engine::execute`]
-//! calls: member sinks see an absorb/combine structure whose final
-//! fold is order-canonical (list aggregates concatenate in document
-//! order, numeric aggregates are exact — see [`crate::exact`]), and
-//! join pairs are canonicalised by the final sort + dedup.
+//! Results are **bit-identical** to running each query alone: member
+//! sinks see an absorb/combine structure whose final fold is
+//! order-canonical (list aggregates concatenate in document order,
+//! numeric aggregates are exact — see [`crate::exact`]), and join
+//! pairs are canonicalised by the final sort + dedup.
 //!
 //! [`QuerySession`] is the serving seam, with two lifecycles:
 //!
@@ -156,7 +156,7 @@ impl PartitionIndex {
 }
 
 /// Dataset-level cache of [`PartitionIndex`]es keyed by partitioning
-/// configuration. [`Engine::execute_batch`] uses a fresh cache per
+/// configuration. [`Engine::run`] uses a fresh cache per
 /// call (queries of one batch share the index); [`QuerySession`] keeps
 /// one alive so later batches skip the partition pass entirely.
 pub struct IndexCache {
@@ -583,86 +583,6 @@ impl QuerySession {
         Ok(stats)
     }
 
-    /// Executes one query (a batch of one — join-class queries still
-    /// benefit from the cached partition index).
-    #[deprecated(note = "use QuerySession::run with ExecOptions")]
-    pub fn execute(&self, query: &Query) -> Result<QueryResult> {
-        self.run(std::slice::from_ref(query), &ExecOptions::new())?
-            .into_single()
-    }
-
-    /// Executes a batch of queries over the session dataset with a
-    /// shared scan (see [`Engine::execute_batch`]), reusing the
-    /// session's cached partition index when join-class queries
-    /// recur. On a streaming session mid-ingest, single-pass queries
-    /// run over the queryable prefix and join-class queries error
-    /// until [`QuerySession::finish`] seals the index.
-    #[deprecated(note = "use QuerySession::run with ExecOptions")]
-    pub fn execute_batch(&self, queries: &[Query]) -> Result<Vec<QueryResult>> {
-        self.run(queries, &ExecOptions::new())?.collapse()
-    }
-
-    /// [`QuerySession::execute_batch`] with the amortisation
-    /// breakdown.
-    #[deprecated(note = "use QuerySession::run with ExecOptions::new().timed()")]
-    pub fn execute_batch_timed(&self, queries: &[Query]) -> Result<(Vec<QueryResult>, BatchStats)> {
-        let out = self.run(queries, &ExecOptions::new().timed())?;
-        let stats = out.batch.clone().expect("timed run reports batch stats");
-        Ok((out.collapse()?, stats))
-    }
-
-    /// [`QuerySession::execute_batch`] under a cooperative
-    /// [`CancelToken`] shared by the whole batch (see
-    /// [`Engine::execute_cancellable`] for the cancellation contract).
-    #[deprecated(note = "use QuerySession::run with ExecOptions::new().cancellable(token)")]
-    pub fn execute_batch_cancellable(
-        &self,
-        queries: &[Query],
-        token: &CancelToken,
-    ) -> Result<Vec<QueryResult>> {
-        self.run(queries, &ExecOptions::new().cancellable(token))?
-            .collapse()
-    }
-
-    /// The **fault-isolated** batch entry point: per-query
-    /// `Result`s instead of one all-or-nothing `Result`. A panic in
-    /// one query's sink yields `Err(`[`QueryError::Panicked`]`)` for
-    /// that query alone — its batch mates complete bit-identically to
-    /// solo execution, and the session (pool, caches, dataset) stays
-    /// fully serviceable. Whole-batch failures (parse/I/O errors,
-    /// cancellation, deadline) still surface as the outer `Err`.
-    #[deprecated(note = "use QuerySession::run with ExecOptions::new().isolated()")]
-    pub fn execute_batch_isolated(
-        &self,
-        queries: &[Query],
-        token: Option<&CancelToken>,
-    ) -> Result<Vec<std::result::Result<QueryResult, QueryError>>> {
-        let out = self.run(
-            queries,
-            &ExecOptions::new().isolated().cancellable_opt(token),
-        )?;
-        Ok(out.outcomes)
-    }
-
-    /// [`QuerySession::execute_batch_isolated`] with the amortisation
-    /// breakdown.
-    #[deprecated(note = "use QuerySession::run with ExecOptions::new().isolated().timed()")]
-    pub fn execute_batch_isolated_timed(
-        &self,
-        queries: &[Query],
-        token: Option<&CancelToken>,
-    ) -> Result<(
-        Vec<std::result::Result<QueryResult, QueryError>>,
-        BatchStats,
-    )> {
-        let out = self.run(
-            queries,
-            &ExecOptions::new().isolated().timed().cancellable_opt(token),
-        )?;
-        let stats = out.batch.expect("timed run reports batch stats");
-        Ok((out.outcomes, stats))
-    }
-
     /// The unified entry point: executes `queries` under
     /// [`ExecOptions`] — cancellation/deadline, fault isolation,
     /// timing, and sharded scatter–gather all come from the options
@@ -747,9 +667,8 @@ impl QuerySession {
     }
 }
 
-/// Builds the side-agnostic partition-pass prototype: everything tags
-/// left (`id < u64::MAX`) and no perimeter prefilter runs, so one
-/// index serves every join spec.
+/// Builds the side-agnostic partition-pass prototype, so one index
+/// serves every join spec.
 fn partition_proto<S: PartitionStore + Clone>(
     grid: GridSpec,
     cfg: &EngineBuilder,
@@ -759,9 +678,6 @@ fn partition_proto<S: PartitionStore + Clone>(
         store: S::new(grid.num_cells()),
         entries: Vec::new(),
         associative: cfg.partition_phase == PartitionPhase::Associative,
-        id_threshold: u64::MAX,
-        min_perimeter_left: None,
-        max_perimeter_right: None,
     }
 }
 
@@ -793,7 +709,7 @@ fn finish_index<S: PartitionStore + Clone>(
 /// than the whole join pass; an empty slot can only contribute the
 /// empty `SlotResult`, which the fold ignores.
 #[allow(clippy::too_many_arguments)]
-fn run_join_grid<S: PartitionStore + Sync>(
+fn join_fan_out<S: PartitionStore + Sync>(
     engine: &Engine,
     store: &S,
     map: &PartitionMap,
@@ -861,8 +777,8 @@ fn prepare_scan(engine: &Engine, queries: &[Query], cache: &IndexCache) -> ScanP
     }
 }
 
-/// The batch executor behind [`Engine::execute_batch`] and
-/// [`QuerySession::execute_batch`]: plan, buffered shared scan,
+/// The batch executor behind [`Engine::run`] and
+/// [`QuerySession::run`]: plan, buffered shared scan,
 /// per-query aggregation (see the module docs for the layering).
 pub(crate) fn execute_batch_impl(
     engine: &Engine,
@@ -916,7 +832,7 @@ pub(crate) fn execute_batch_impl(
 }
 
 /// The streaming batch executor behind
-/// [`Engine::execute_streaming_batch`]: the same plan and aggregate
+/// [`Engine::run_streaming`]: the same plan and aggregate
 /// steps as [`execute_batch_impl`], but the shared scan is fed from a
 /// [`ChunkSource`] as the bytes arrive — fragments for later chunks
 /// spawn while earlier ones merge, and the dataset materialises
@@ -1357,7 +1273,7 @@ fn finish_batch(
                 continue;
             }
             let shard_results = match &index.store {
-                IndexStore::Array(s) => run_join_grid(
+                IndexStore::Array(s) => join_fan_out(
                     engine,
                     s,
                     &index.map,
@@ -1368,7 +1284,7 @@ fn finish_batch(
                     token,
                     slots,
                 ),
-                IndexStore::List(s) => run_join_grid(
+                IndexStore::List(s) => join_fan_out(
                     engine,
                     s,
                     &index.map,

@@ -1,27 +1,15 @@
 //! The unified request API: one [`ExecOptions`] consumed by one `run`
 //! entry point per layer.
 //!
-//! The execution layers historically grew a combinatorial `execute*`
-//! surface (`_timed` × `_cancellable` × `_isolated` × `_batch` ×
-//! `_multi` × `_streaming` × `_prioritized` — ~30 names). Every axis
-//! of that matrix is now a field on [`ExecOptions`]:
-//!
-//! | legacy axis          | [`ExecOptions`] field                    |
-//! |----------------------|------------------------------------------|
-//! | `_cancellable`       | `token: Some(..)` / `deadline: Some(..)` |
-//! | `_timed`             | `timing: true`                           |
-//! | `_isolated`          | `isolation: Isolation::PerQuery`         |
-//! | `_prioritized`       | `priority` (scheduler layer)             |
-//! | *(new)* shard fan-out| `shards: ShardPolicy`                    |
-//!
-//! and every layer keeps exactly one entry point:
+//! Cancellation, deadline, timing, fault isolation, priority and
+//! shard fan-out are fields on [`ExecOptions`], and every layer has
+//! one entry point per input shape:
 //! [`crate::Engine::run`] / [`crate::Engine::run_streaming`],
 //! [`crate::batch::QuerySession::run`], and
 //! [`crate::scheduler::QueryScheduler::run`] /
 //! [`crate::scheduler::QueryScheduler::run_multi`] /
 //! [`crate::scheduler::QueryScheduler::run_streaming`]. All of them
-//! return a [`RunOutcome`]. The legacy names survive as thin
-//! `#[deprecated]` wrappers that delegate here and stay bit-identical.
+//! return a [`RunOutcome`].
 //!
 //! ```
 //! use atgis::{Dataset, Engine, ExecOptions, Query};
@@ -53,13 +41,12 @@ use crate::{Error, Result};
 /// How query failures inside a batch surface to the caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Isolation {
-    /// The first failing query fails the whole `run` call (the classic
-    /// collapse semantics of `execute_batch`).
+    /// The first failing query fails the whole `run` call.
     #[default]
     WholeBatch,
     /// Failures are tombstoned per query: [`RunOutcome::outcomes`]
     /// carries an `Err` for the failing query and an `Ok` for every
-    /// other (the `_isolated` semantics).
+    /// other.
     PerQuery,
 }
 

@@ -88,8 +88,9 @@ pub type Reparser<'a> = dyn Fn(u64, u32) -> Result<Geometry, ParseError> + Sync 
 #[derive(Debug, Clone, Copy)]
 pub enum SideRule {
     /// Entries were tagged during the partition pass
-    /// ([`PartEntry::left_side`]) — the single-query path, where the
-    /// pass knows the query's threshold.
+    /// ([`PartEntry::left_side`]) — the standalone
+    /// [`pbsm_join_mapped_on`] entry point, whose caller built the
+    /// store for one known threshold.
     Tagged,
     /// Side derived from the object id at join time (`id < threshold`
     /// is left) — the batch path, where one side-agnostic partition
@@ -109,11 +110,10 @@ impl SideRule {
 
 /// The per-query semantics of one join execution over a (possibly
 /// shared) partition index: side resolution plus the combined query's
-/// perimeter bounds. In the single-query path the bounds are enforced
-/// during the partition pass (filter-before-join ordering); over a
-/// shared index they move to the refinement stage, where the parsed
-/// geometry is in hand anyway — the accepted pair set is identical
-/// because both filters are per-object predicates.
+/// perimeter bounds. Over a shared index the bounds are enforced at
+/// the refinement stage, where the parsed geometry is in hand anyway —
+/// the accepted pair set equals filtering before the join because both
+/// filters are per-object predicates.
 #[derive(Debug, Clone, Copy)]
 pub struct JoinSpec {
     /// Side resolution.
@@ -125,7 +125,7 @@ pub struct JoinSpec {
 }
 
 impl JoinSpec {
-    /// The single-query spec: sides tagged at partition time, no
+    /// The tagged spec: sides tagged at partition time, no
     /// refine-stage filters.
     pub fn tagged() -> Self {
         JoinSpec {
@@ -273,8 +273,8 @@ pub fn pbsm_join_on<S: PartitionStore + Sync>(
 }
 
 /// The full join pipeline over an explicit (possibly skew-adaptive)
-/// partition map — the single-query engine entry point (sides tagged
-/// at partition time, private re-parse cache). The optional
+/// partition map — the standalone entry point over a caller-built
+/// store (sides tagged at partition time, private re-parse cache). The optional
 /// [`CancelToken`] is observed between partitions: a tripped token
 /// skips every not-yet-started partition and the join returns
 /// [`Error::Cancelled`] / [`Error::DeadlineExceeded`].

@@ -198,8 +198,8 @@ pub enum PropertyValue {
 }
 
 /// Computes `ST_Area(ST_Union(a, b))` for a joined pair — the
-/// combined query's final aggregation, shared by the single-query and
-/// batch execution paths. Non-polygon members fall back to the
+/// combined query's final aggregation in the batch executor.
+/// Non-polygon members fall back to the
 /// inclusion–exclusion approximation using the MBR-free sum
 /// (documented deviation: exact union is defined on polygons).
 pub fn union_area(a: &Geometry, b: &Geometry) -> f64 {

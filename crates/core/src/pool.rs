@@ -68,10 +68,11 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// per-task [`catch_unwind`] means no user code can unwind while a
 /// pool lock is held, so the guarded state is always consistent and
 /// the poison flag carries no information worth dying for. Shared
-/// crate-wide: every execution-layer lock follows the same discipline
-/// (panics are confined to task bodies, never raised under a lock),
-/// so one historical panic can never cascade into unrelated queries.
-pub(crate) fn recover<G>(r: Result<G, PoisonError<G>>) -> G {
+/// crate-wide, and public so the serving layer applies it too: every
+/// lock follows the same discipline (panics are confined to task
+/// bodies, never raised under a lock), so one historical panic can
+/// never cascade into unrelated queries.
+pub fn recover<G>(r: Result<G, PoisonError<G>>) -> G {
     r.unwrap_or_else(PoisonError::into_inner)
 }
 

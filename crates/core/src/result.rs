@@ -76,15 +76,15 @@ impl std::fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
-/// One query's outcome in a fault-isolated batch (`*_isolated` entry
-/// points): the result, or the query-attributable failure that took
-/// down only this member.
+/// One query's outcome in a fault-isolated batch
+/// ([`crate::Isolation::PerQuery`]): the result, or the
+/// query-attributable failure that took down only this member.
 pub type QueryOutcome = std::result::Result<QueryResult, QueryError>;
 
 /// The result of executing a [`crate::Query`]. `PartialEq` compares
 /// results exactly (including float aggregates bit-for-bit) — the
-/// contract the batch layer is held to: `execute_batch(qs)` must
-/// equal `qs.map(execute)` member-wise.
+/// contract the batch layer is held to: `run(qs)` must equal each
+/// query run alone, member-wise.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryResult {
     /// Containment query output.

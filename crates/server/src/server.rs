@@ -5,7 +5,7 @@
 //! submissions; one writer thread per connection drains a channel of
 //! encoded response frames (so the dispatcher never blocks on a slow
 //! client socket); a single **dispatcher** thread drains the shared
-//! queue into [`QueryScheduler::execute_batch_prioritized`] calls —
+//! queue into [`QueryScheduler::run_multi`] calls —
 //! requests that arrive together share scans, and the scheduler's
 //! class-ordered admission keeps interactive work ahead of batch
 //! outliers.
@@ -18,12 +18,17 @@
 //! [`ErrorCode::Overloaded`] once the queued + in-flight cost exceeds
 //! [`ServerConfig::queue_budget`]. Interactive submissions are always
 //! admitted: shedding is what protects them.
+//!
+//! Every lock is taken through [`atgis::pool::recover`], so a thread
+//! that panicked while holding one cannot take the rest of the server
+//! down with a poisoned-lock cascade.
 
 use crate::protocol::{
     self, duration_to_us, encode_error, encode_result, encode_stats_report, ClassReport, ErrorCode,
     Request, StatsReport, MAX_REQUEST_FRAME, MAX_RESPONSE_FRAME,
 };
 use atgis::cancel::Interrupt;
+use atgis::pool::recover;
 use atgis::{
     CancelToken, Dataset, DatasetId, ExecOptions, Priority, Query, QueryError, QueryResult,
     QueryScheduler, ScheduledQuery, SchedulerStats,
@@ -104,7 +109,7 @@ struct Shared {
 
 impl Shared {
     fn snapshot(&self) -> StatsReport {
-        let stats = self.stats.lock().unwrap();
+        let stats = recover(self.stats.lock());
         let class_report = |class: Priority| {
             let ps = stats
                 .sched
@@ -134,7 +139,7 @@ impl Shared {
     /// The server-side cumulative [`SchedulerStats`] (per-request
     /// completions folded via [`SchedulerStats::record`]).
     fn scheduler_stats(&self) -> SchedulerStats {
-        self.stats.lock().unwrap().sched.clone()
+        recover(self.stats.lock()).sched.clone()
     }
 }
 
@@ -172,7 +177,7 @@ impl Server {
     /// `wire_id` (re-registering a wire id repoints it).
     pub fn register(&self, wire_id: u64, dataset: Dataset) {
         let id = self.shared.scheduler.register(dataset);
-        self.shared.datasets.lock().unwrap().insert(wire_id, id);
+        recover(self.shared.datasets.lock()).insert(wire_id, id);
     }
 
     /// Binds `addr` and starts serving: an accept thread, a
@@ -359,7 +364,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
                 Ok(Request::Cancel { req_id }) => {
                     // Advisory: completed or never-seen ids are a
                     // benign race, not an error.
-                    if let Some(token) = live.lock().unwrap().get(&req_id) {
+                    if let Some(token) = recover(live.lock()).get(&req_id) {
                         token.cancel();
                     }
                 }
@@ -378,7 +383,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
 
     // Disconnect (or desync): every in-flight request this client
     // still owns is cancelled, exactly as if it had sent CANCEL.
-    for token in live.lock().unwrap().values() {
+    for token in recover(live.lock()).values() {
         token.cancel();
     }
     // Let the writer drain any queued reply (e.g. the Malformed error
@@ -414,7 +419,7 @@ fn submit(
     // the live map; the first completion would then release the map
     // entry and a later CANCEL (or disconnect cleanup) would miss the
     // still-running second request. Reject it up front.
-    if live.lock().unwrap().contains_key(&req_id) {
+    if recover(live.lock()).contains_key(&req_id) {
         let _ = reply.send(encode_error(
             req_id,
             ErrorCode::Internal,
@@ -422,7 +427,7 @@ fn submit(
         ));
         return;
     }
-    let Some(id) = shared.datasets.lock().unwrap().get(&dataset).copied() else {
+    let Some(id) = recover(shared.datasets.lock()).get(&dataset).copied() else {
         let _ = reply.send(encode_error(
             req_id,
             ErrorCode::UnknownDataset,
@@ -444,14 +449,14 @@ fn submit(
         CancelToken::with_deadline(Duration::from_millis(timeout_ms))
     };
 
-    let mut queue = shared.queue.lock().unwrap();
+    let mut queue = recover(shared.queue.lock());
     // Backpressure in the admission controller's own currency:
     // batch-class work is shed once outstanding scan-equivalents
     // exceed the budget. Interactive work always queues — shedding
     // batch is what keeps its latency flat.
     if priority == Priority::Batch && queue.outstanding_cost + cost > shared.config.queue_budget {
         drop(queue);
-        shared.stats.lock().unwrap().overloaded += 1;
+        recover(shared.stats.lock()).overloaded += 1;
         let _ = reply.send(encode_error(
             req_id,
             ErrorCode::Overloaded,
@@ -460,7 +465,7 @@ fn submit(
         return;
     }
     queue.outstanding_cost += cost;
-    live.lock().unwrap().insert(req_id, token.clone());
+    recover(live.lock()).insert(req_id, token.clone());
     queue.pending.push(PendingRequest {
         req_id,
         dataset: id,
@@ -479,15 +484,16 @@ fn submit(
 fn dispatch_loop(shared: &Arc<Shared>) {
     loop {
         let batch = {
-            let mut queue = shared.queue.lock().unwrap();
+            let mut queue = recover(shared.queue.lock());
             while queue.pending.is_empty() {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                let (q, _) = shared
-                    .queue_cv
-                    .wait_timeout(queue, shared.config.poll_interval)
-                    .unwrap();
+                let (q, _) = recover(
+                    shared
+                        .queue_cv
+                        .wait_timeout(queue, shared.config.poll_interval),
+                );
                 queue = q;
             }
             std::mem::take(&mut queue.pending)
@@ -527,7 +533,7 @@ fn finish_interrupted(shared: &Arc<Shared>, req: &PendingRequest, interrupt: Int
     };
     respond_error(req, code, &qe.to_string());
     {
-        let mut stats = shared.stats.lock().unwrap();
+        let mut stats = recover(shared.stats.lock());
         match interrupt {
             Interrupt::Cancelled => stats.sched.cancelled += 1,
             Interrupt::DeadlineExceeded => stats.sched.deadline_exceeded += 1,
@@ -591,10 +597,10 @@ fn post_dispatch_outcome(
 /// Returns the request's cost to the backpressure pool and drops its
 /// live-map entry.
 fn release(shared: &Arc<Shared>, req: &PendingRequest) {
-    let mut queue = shared.queue.lock().unwrap();
+    let mut queue = recover(shared.queue.lock());
     queue.outstanding_cost = (queue.outstanding_cost - req.cost).max(0.0);
     drop(queue);
-    req.live.lock().unwrap().remove(&req.req_id);
+    recover(req.live.lock()).remove(&req.req_id);
 }
 
 fn run_group(shared: &Arc<Shared>, dataset: DatasetId, group: Vec<PendingRequest>) {
@@ -621,7 +627,7 @@ fn run_group(shared: &Arc<Shared>, dataset: DatasetId, group: Vec<PendingRequest
             let sstats = out.scheduler.expect("timed run reports scheduler stats");
             let results = out.outcomes;
             {
-                let mut stats = shared.stats.lock().unwrap();
+                let mut stats = recover(shared.stats.lock());
                 stats.sched.unique_queries += sstats.unique_queries;
                 stats.sched.dedup_hits += sstats.dedup_hits;
                 stats.sched.cache_hits += sstats.cache_hits;
@@ -632,7 +638,7 @@ fn run_group(shared: &Arc<Shared>, dataset: DatasetId, group: Vec<PendingRequest
                 // completion time of the wave that resolved it.
                 let latency = dispatched.duration_since(req.enqueued) + sstats.latencies[i];
                 let outcome = post_dispatch_outcome(result, &req.token);
-                let mut stats = shared.stats.lock().unwrap();
+                let mut stats = recover(shared.stats.lock());
                 stats.sched.record(req.class, latency);
                 match &outcome {
                     Ok(result) => {
@@ -666,7 +672,7 @@ fn run_group(shared: &Arc<Shared>, dataset: DatasetId, group: Vec<PendingRequest
             // parse) fails every member with the same structured
             // error.
             for req in &group {
-                let mut stats = shared.stats.lock().unwrap();
+                let mut stats = recover(shared.stats.lock());
                 stats.sched.record(req.class, req.enqueued.elapsed());
                 drop(stats);
                 respond_error(req, ErrorCode::Internal, &format!("{e:?}"));
@@ -709,6 +715,53 @@ mod tests {
             post_dispatch_outcome(Err(QueryError::Cancelled), &expired),
             Err(QueryError::Cancelled)
         ));
+    }
+
+    #[test]
+    fn poisoned_locks_still_answer_stats_and_submit() {
+        use crate::{Client, QuerySpec, NO_TIMEOUT};
+        let bytes = atgis_datagen::write_geojson(&atgis_datagen::OsmGenerator::new(5).generate(40));
+        let dataset = Dataset::from_bytes(bytes, atgis_formats::Format::GeoJson);
+        let region = Mbr::new(-10.0, 40.0, 10.0, 60.0);
+        let engine = atgis::Engine::builder().build();
+        let want = engine
+            .run(&[Query::containment(region)], &dataset, &ExecOptions::new())
+            .and_then(|o| o.into_single())
+            .unwrap();
+        let server = Server::new(QueryScheduler::new(engine));
+        server.register(0, dataset);
+        let handle = server.serve("127.0.0.1:0".parse().unwrap()).unwrap();
+
+        // Panic while holding each lock, one thread per lock.
+        let poison_stats = Arc::clone(&handle.shared);
+        let poison_queue = Arc::clone(&handle.shared);
+        let _ = thread::spawn(move || {
+            let _held = poison_stats.stats.lock();
+            panic!("poisoning the stats lock");
+        })
+        .join();
+        let _ = thread::spawn(move || {
+            let _held = poison_queue.queue.lock();
+            panic!("poisoning the queue lock");
+        })
+        .join();
+        assert!(handle.shared.stats.is_poisoned());
+        assert!(handle.shared.queue.is_poisoned());
+
+        let mut client = Client::connect(handle.addr()).unwrap();
+        assert_eq!(client.stats().unwrap().served, 0);
+        let got = client
+            .query(
+                0,
+                &QuerySpec::Containment(region),
+                Priority::Interactive,
+                NO_TIMEOUT,
+            )
+            .unwrap()
+            .unwrap();
+        assert_eq!(got, want);
+        assert_eq!(client.stats().unwrap().served, 1);
+        handle.shutdown();
     }
 
     #[test]

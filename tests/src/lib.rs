@@ -5,166 +5,6 @@
 //! plus the ingest → seal → query lifecycle and the data flow of a
 //! scheduled batch.
 
-use atgis::scheduler::DatasetId;
-use atgis::stats::{BatchStats, SchedulerStats};
-use atgis::{
-    Dataset, Engine, ExecOptions, Query, QueryResult, QueryScheduler, QuerySession, Result,
-};
-
-/// Test sugar over the unified [`ExecOptions`] API: "execute this,
-/// default options, collapsed result". Every method delegates to
-/// [`Engine::run`] / [`QuerySession::run`] / [`QueryScheduler::run`];
-/// nothing here touches the deprecated `execute*` compatibility
-/// wrappers.
-pub trait RunExt {
-    /// One query, default options.
-    fn exec1(&self, query: &Query, dataset: &Dataset) -> Result<QueryResult>;
-    /// A batch, default options, collapsed.
-    fn execb(&self, queries: &[Query], dataset: &Dataset) -> Result<Vec<QueryResult>>;
-    /// A batch with the amortisation breakdown.
-    fn execb_timed(
-        &self,
-        queries: &[Query],
-        dataset: &Dataset,
-    ) -> Result<(Vec<QueryResult>, BatchStats)>;
-}
-
-impl RunExt for Engine {
-    fn exec1(&self, query: &Query, dataset: &Dataset) -> Result<QueryResult> {
-        self.run(std::slice::from_ref(query), dataset, &ExecOptions::new())?
-            .into_single()
-    }
-
-    fn execb(&self, queries: &[Query], dataset: &Dataset) -> Result<Vec<QueryResult>> {
-        self.run(queries, dataset, &ExecOptions::new())?.collapse()
-    }
-
-    fn execb_timed(
-        &self,
-        queries: &[Query],
-        dataset: &Dataset,
-    ) -> Result<(Vec<QueryResult>, BatchStats)> {
-        let out = self.run(queries, dataset, &ExecOptions::new().timed())?;
-        let stats = out.batch.clone().expect("timed run reports batch stats");
-        Ok((out.collapse()?, stats))
-    }
-}
-
-/// [`RunExt`]'s session-level counterpart.
-pub trait SessionRunExt {
-    /// One query, default options.
-    fn exec1(&self, query: &Query) -> Result<QueryResult>;
-    /// A batch, default options, collapsed.
-    fn execb(&self, queries: &[Query]) -> Result<Vec<QueryResult>>;
-    /// A batch with the amortisation breakdown.
-    fn execb_timed(&self, queries: &[Query]) -> Result<(Vec<QueryResult>, BatchStats)>;
-}
-
-impl SessionRunExt for QuerySession {
-    fn exec1(&self, query: &Query) -> Result<QueryResult> {
-        self.run(std::slice::from_ref(query), &ExecOptions::new())?
-            .into_single()
-    }
-
-    fn execb(&self, queries: &[Query]) -> Result<Vec<QueryResult>> {
-        self.run(queries, &ExecOptions::new())?.collapse()
-    }
-
-    fn execb_timed(&self, queries: &[Query]) -> Result<(Vec<QueryResult>, BatchStats)> {
-        let out = self.run(queries, &ExecOptions::new().timed())?;
-        let stats = out.batch.clone().expect("timed run reports batch stats");
-        Ok((out.collapse()?, stats))
-    }
-}
-
-/// [`RunExt`]'s scheduler-level counterpart.
-pub trait SchedRunExt {
-    /// One query, default options.
-    fn exec1(&self, id: DatasetId, query: &Query) -> Result<QueryResult>;
-    /// A batch, default options, collapsed.
-    fn execb(&self, id: DatasetId, queries: &[Query]) -> Result<Vec<QueryResult>>;
-    /// A batch with the scheduling breakdown.
-    fn execb_timed(
-        &self,
-        id: DatasetId,
-        queries: &[Query],
-    ) -> Result<(Vec<QueryResult>, SchedulerStats)>;
-}
-
-impl SchedRunExt for QueryScheduler {
-    fn exec1(&self, id: DatasetId, query: &Query) -> Result<QueryResult> {
-        self.run(id, std::slice::from_ref(query), &ExecOptions::new())?
-            .into_single()
-    }
-
-    fn execb(&self, id: DatasetId, queries: &[Query]) -> Result<Vec<QueryResult>> {
-        self.run(id, queries, &ExecOptions::new())?.collapse()
-    }
-
-    fn execb_timed(
-        &self,
-        id: DatasetId,
-        queries: &[Query],
-    ) -> Result<(Vec<QueryResult>, SchedulerStats)> {
-        let out = self.run(id, queries, &ExecOptions::new().timed())?;
-        let stats = out
-            .scheduler
-            .clone()
-            .expect("timed run reports scheduler stats");
-        Ok((out.collapse()?, stats))
-    }
-}
-
-use atgis::stats::StreamStats;
-use atgis::stream::ChunkSource;
-use atgis_formats::Format;
-
-/// [`RunExt`]'s streaming counterpart over [`Engine::run_streaming`].
-pub trait StreamRunExt {
-    /// One query over a chunk stream, default options.
-    fn stream1(
-        &self,
-        query: &Query,
-        source: &mut dyn ChunkSource,
-        format: Format,
-    ) -> Result<QueryResult>;
-    /// A streamed batch with batch + stream statistics.
-    fn streamb_timed(
-        &self,
-        queries: &[Query],
-        source: &mut dyn ChunkSource,
-        format: Format,
-    ) -> Result<(Vec<QueryResult>, BatchStats, StreamStats)>;
-}
-
-impl StreamRunExt for Engine {
-    fn stream1(
-        &self,
-        query: &Query,
-        source: &mut dyn ChunkSource,
-        format: Format,
-    ) -> Result<QueryResult> {
-        self.run_streaming(
-            std::slice::from_ref(query),
-            source,
-            format,
-            &ExecOptions::new(),
-        )?
-        .into_single()
-    }
-
-    fn streamb_timed(
-        &self,
-        queries: &[Query],
-        source: &mut dyn ChunkSource,
-        format: Format,
-    ) -> Result<(Vec<QueryResult>, BatchStats, StreamStats)> {
-        let out = self.run_streaming(queries, source, format, &ExecOptions::new().timed())?;
-        let batch = out.batch.clone().expect("timed run reports batch stats");
-        let stream = out
-            .stream
-            .clone()
-            .expect("streaming run reports stream stats");
-        Ok((out.collapse()?, batch, stream))
-    }
-}
+/// One-call sugar over the `run` entry points, shared with the
+/// benchmark harness.
+pub use atgis_bench::{RunExt, SchedRunExt, SessionRunExt, StreamRunExt};

@@ -9,8 +9,8 @@
 //! `Dataset` storage paths.
 
 use atgis::{
-    Dataset, Engine, ExecOptions, ProbeStrategy, Query, QueryResult, QueryScheduler, QuerySession,
-    ScheduledQuery, SchedulerConfig,
+    CancelToken, Dataset, Engine, Error, ExecOptions, ProbeStrategy, Query, QueryResult,
+    QueryScheduler, QuerySession, ScanClass, ScheduledQuery, SchedulerConfig,
 };
 use atgis_baselines::{sequential, BaselineAnswer, BaselineQuery};
 use atgis_datagen::{write_geojson, write_osm_xml, write_wkt, OsmGenerator};
@@ -218,6 +218,142 @@ fn xml_containment_matches_oracle() {
     }
 }
 
+/// A timed one-query `run` reports the same batch-shaped stats as any
+/// other batch, for every format and query class, and its answer
+/// matches the sequential oracle. Join-class queries carry join
+/// timings and partition decisions; single-pass queries carry neither.
+/// OSM XML joins count a second full-input pass: the node-table parse
+/// their re-parser needs.
+#[test]
+fn single_query_timed_run_reports_batch_shape_and_matches_oracle() {
+    let region = Mbr::new(-6.0, 44.0, 4.0, 56.0);
+    let threshold = 30;
+    let engine = Engine::builder().threads(2).cell_size(2.0).build();
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs().max(1.0);
+    for format in [Format::GeoJson, Format::Wkt, Format::OsmXml] {
+        let ds = dataset_with(OsmGenerator::new(308).with_hotspot(0.5, 0.03), 60, format);
+        let want_pairs = match oracle(&ds, format, &BaselineQuery::Join(threshold)) {
+            BaselineAnswer::Pairs(pairs) => pairs,
+            other => panic!("{other:?}"),
+        };
+        assert!(
+            !want_pairs.is_empty(),
+            "{format:?}: join must produce pairs"
+        );
+        // Bounds that admit every object: the combined query must pair
+        // exactly what the plain join pairs.
+        let queries = [
+            Query::containment(region),
+            Query::aggregation(region),
+            Query::join(threshold),
+            Query::combined(threshold, -1.0, f64::INFINITY),
+        ];
+        for q in &queries {
+            let out = engine
+                .run(std::slice::from_ref(q), &ds, &ExecOptions::new().timed())
+                .unwrap();
+            let stats = out.batch.clone().expect("timed run reports batch stats");
+            let is_join = q.scan_class() == ScanClass::Join;
+            let ctx = format!("{format:?} {q:?}");
+            assert_eq!(stats.queries, 1, "{ctx}");
+            let passes = if is_join && format == Format::OsmXml {
+                2
+            } else {
+                1
+            };
+            assert_eq!(stats.scan_passes, passes, "{ctx}");
+            assert_eq!(stats.per_query.len(), 1, "{ctx}");
+            assert_eq!(stats.per_query[0].join.is_some(), is_join, "{ctx}");
+            assert_eq!(stats.per_query[0].decisions.is_some(), is_join, "{ctx}");
+
+            match (q, out.into_single().unwrap()) {
+                (Query::Containment { .. }, r) => {
+                    let mut got: Vec<u64> = r.matches().iter().map(|m| m.id).collect();
+                    got.sort_unstable();
+                    assert!(!got.is_empty(), "{ctx}: region must select something");
+                    let want = oracle(&ds, format, &BaselineQuery::containment(region));
+                    assert_eq!(BaselineAnswer::Matches(got), want, "{ctx}");
+                }
+                (Query::Aggregation { .. }, r) => {
+                    let agg = r.aggregate().unwrap();
+                    match oracle(&ds, format, &BaselineQuery::aggregation(region)) {
+                        BaselineAnswer::Aggregate(c, a, p) => {
+                            assert_eq!(agg.count, c, "{ctx}");
+                            assert!(close(agg.total_area, a), "{ctx}");
+                            assert!(close(agg.total_perimeter, p), "{ctx}");
+                        }
+                        other => panic!("{other:?}"),
+                    }
+                }
+                (Query::Join { .. }, r) => {
+                    let mut got: Vec<(u64, u64)> =
+                        r.joined().iter().map(|p| (p.left_id, p.right_id)).collect();
+                    got.sort_unstable();
+                    got.dedup();
+                    assert_eq!(got, want_pairs, "{ctx}");
+                }
+                (
+                    Query::Combined { .. },
+                    QueryResult::Combined {
+                        pairs,
+                        total_union_area,
+                    },
+                ) => {
+                    assert_eq!(pairs, want_pairs.len() as u64, "{ctx}");
+                    assert_eq!(total_union_area > 0.0, pairs > 0, "{ctx}");
+                }
+                (_, other) => panic!("{ctx}: unexpected result {other:?}"),
+            }
+        }
+    }
+}
+
+/// A pre-cancelled one-query `run` fails with `Error::Cancelled`, and
+/// the same engine then serves the next query with the oracle answer.
+#[test]
+fn cancelled_single_query_run_leaves_engine_serviceable() {
+    let region = Mbr::new(-10.0, 40.0, 10.0, 60.0);
+    let ds = dataset(309, 50, Format::GeoJson);
+    let engine = Engine::builder().threads(2).build();
+    let token = CancelToken::new();
+    token.cancel();
+    let err = engine
+        .run(
+            &[Query::containment(region)],
+            &ds,
+            &ExecOptions::new().cancellable(&token),
+        )
+        .unwrap_err();
+    assert!(matches!(err, Error::Cancelled), "{err:?}");
+
+    let r = engine.exec1(&Query::containment(region), &ds).unwrap();
+    let mut got: Vec<u64> = r.matches().iter().map(|m| m.id).collect();
+    got.sort_unstable();
+    let want = oracle(&ds, Format::GeoJson, &BaselineQuery::containment(region));
+    assert_eq!(BaselineAnswer::Matches(got), want);
+}
+
+/// A batched `run` answers every query, in submission order, exactly
+/// as that query run alone on the same engine, for every format.
+#[test]
+fn batched_run_outcomes_equal_solo_runs() {
+    let queries = [
+        Query::containment(Mbr::new(-10.0, 40.0, 10.0, 60.0)),
+        Query::aggregation(Mbr::new(-6.0, 44.0, 4.0, 56.0)),
+        Query::join(40),
+    ];
+    let engine = Engine::builder().threads(2).build();
+    for format in [Format::GeoJson, Format::Wkt, Format::OsmXml] {
+        let ds = dataset(304, 80, format);
+        let batched = engine.execb(&queries, &ds).unwrap();
+        assert_eq!(batched.len(), queries.len());
+        for (q, got) in queries.iter().zip(&batched) {
+            let solo = engine.exec1(q, &ds).unwrap();
+            assert_eq!(got, &solo, "{format:?} {q:?}");
+        }
+    }
+}
+
 #[test]
 fn fat_and_pat_modes_match_oracle() {
     let region = Mbr::new(-6.0, 44.0, 4.0, 56.0);
@@ -265,7 +401,7 @@ fn batch_mixes(n: u64) -> Vec<Vec<Query>> {
     ]
 }
 
-/// `execute_batch(qs)` must be **bit-identical** to `qs.map(execute)`
+/// `run(qs)` must be **bit-identical** to running each query alone
 /// — exact float equality, exact orders — for every query-kind mix,
 /// across threads × PAT/FAT/Adaptive × uniform/adaptive partitioning,
 /// on both single-pass formats.
@@ -597,9 +733,8 @@ fn scheduled_batch_over_sealed_streaming_session() {
 }
 
 /// Multi-dataset batches: one call spanning several registered
-/// datasets (and `Engine::execute_multi_batch`'s one-shot form) must
-/// equal per-dataset sequential execution, with dedup scoped per
-/// dataset.
+/// datasets must equal per-dataset sequential execution, with dedup
+/// scoped per dataset.
 #[test]
 fn scheduled_multi_dataset_batch_matches_sequential() {
     let n = 60u64;
@@ -642,19 +777,6 @@ fn scheduled_multi_dataset_batch_matches_sequential() {
         "identical predicates on different datasets are different work"
     );
     assert_ne!(got[0], got[1], "the two datasets answer differently");
-
-    // The engine-level lift returns the same results grouped.
-    let groups: Vec<(&Dataset, &[Query])> = vec![
-        (&ds_g, std::slice::from_ref(&qa)),
-        (&ds_w, std::slice::from_ref(&qb)),
-    ];
-    // Wrapper equivalence: the deprecated engine-level lift must stay
-    // bit-identical to the scheduler path above.
-    #[allow(deprecated)]
-    let grouped = engine.execute_multi_batch(&groups).unwrap();
-    assert_eq!(grouped.len(), 2);
-    assert_eq!(grouped[0][0], engine.exec1(&qa, &ds_g).unwrap());
-    assert_eq!(grouped[1][0], engine.exec1(&qb, &ds_w).unwrap());
 }
 
 /// The XML path (two-pass parse, node-table joins) through the

@@ -17,6 +17,7 @@
 //! seed is printed by every seeded run.
 
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard};
 
 use atgis::persist::{snapshot, SNAPSHOT_VERSION};
 use atgis::{
@@ -25,6 +26,16 @@ use atgis::{
 use atgis_datagen::{write_geojson, write_osm_xml, write_wkt, OsmGenerator};
 use atgis_formats::{Format, Mode};
 use atgis_geometry::Mbr;
+
+/// Failpoints are process-global: every test here reads or writes
+/// snapshots, so they run one at a time and a failpoint armed by the
+/// fault-injection test can never fire inside another test's spill or
+/// restore.
+static GATE: Mutex<()> = Mutex::new(());
+
+fn serialised() -> MutexGuard<'static, ()> {
+    GATE.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Spatially coherent dataset (sorted by centroid longitude, like a
 /// real regional export) so shard MBR pruning is in play and the
@@ -110,6 +121,7 @@ impl XorShift64 {
 /// × shards {1, 4} × containment/aggregation/join.
 #[test]
 fn warm_restart_is_bit_identical_across_the_matrix() {
+    let _gate = serialised();
     const OBJECTS: usize = 300;
     for format in [Format::GeoJson, Format::Wkt, Format::OsmXml] {
         let dataset = sorted_dataset(7, OBJECTS, format);
@@ -171,6 +183,7 @@ fn warm_restart_is_bit_identical_across_the_matrix() {
 /// **zero** parse passes — the restore really did replace the scan.
 #[test]
 fn warm_join_answers_with_zero_parse_passes() {
+    let _gate = serialised();
     const OBJECTS: u64 = 240;
     for format in [Format::GeoJson, Format::Wkt, Format::OsmXml] {
         let root = store_root(&format!("zeroparse-{format:?}"));
@@ -211,6 +224,7 @@ fn warm_join_answers_with_zero_parse_passes() {
 /// restored index, and the whole warm batch runs without one scan.
 #[test]
 fn scheduler_restore_serves_the_aggregate_cache() {
+    let _gate = serialised();
     const OBJECTS: u64 = 300;
     let root = store_root("scheduler");
     let dataset = sorted_dataset(17, OBJECTS as usize, Format::GeoJson);
@@ -246,6 +260,7 @@ fn scheduler_restore_serves_the_aggregate_cache() {
 /// not in the next one.
 #[test]
 fn restore_then_update_never_serves_stale_state() {
+    let _gate = serialised();
     const OBJECTS: u64 = 260;
     let root = store_root("update");
     let old = sorted_dataset(19, OBJECTS as usize, Format::GeoJson);
@@ -323,6 +338,7 @@ fn assert_falls_back_to_cold(
 /// never a panic, never a wrong answer.
 #[test]
 fn corrupt_snapshots_degrade_to_cold_never_panic() {
+    let _gate = serialised();
     const OBJECTS: u64 = 160;
     let root = store_root("torture");
     let dataset = sorted_dataset(29, OBJECTS as usize, Format::GeoJson);
@@ -455,6 +471,7 @@ fn corrupt_snapshots_degrade_to_cold_never_panic() {
 /// correct results — content addressing alone is not trusted.
 #[test]
 fn renamed_snapshot_cannot_cross_datasets() {
+    let _gate = serialised();
     const OBJECTS: u64 = 180;
     let root = store_root("rename");
     let a = sorted_dataset(31, OBJECTS as usize, Format::GeoJson);
@@ -506,6 +523,7 @@ mod failpoints {
 
     #[test]
     fn spill_and_restore_survive_injected_faults() {
+        let _gate = serialised();
         fault::disarm_all();
         const OBJECTS: u64 = 200;
         let root = store_root("failpoints");

@@ -8,17 +8,23 @@
 //! coherent storage, and (under `--features fault-injection`) the
 //! per-shard fault-isolation contract: one shard's panic tombstones
 //! exactly the queries scattered to it.
-//!
-//! A companion test pins the deprecated `execute*` wrappers
-//! bit-identical to the unified `run` API they delegate to.
 
 use atgis::{
-    Dataset, Engine, ExecOptions, Query, QueryResult, QueryScheduler, QuerySession, ShardPolicy,
-    ShardSet,
+    Dataset, Engine, ExecOptions, Query, QueryResult, QuerySession, ShardPolicy, ShardSet,
 };
 use atgis_datagen::{write_geojson, write_osm_xml, write_wkt, OsmGenerator};
 use atgis_formats::{Format, Mode};
 use atgis_geometry::Mbr;
+use std::sync::{Mutex, MutexGuard};
+
+/// Failpoints are process-global: the tests here run one at a time so
+/// the `shard.scan.N` failpoint armed by the fault-isolation test can
+/// never fire inside another test's sharded scan.
+static GATE: Mutex<()> = Mutex::new(());
+
+fn serialised() -> MutexGuard<'static, ()> {
+    GATE.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Spatially coherent dataset: generated objects sorted by centroid
 /// longitude before serialisation — the storage order of a real
@@ -66,6 +72,7 @@ fn mixed_batch(objects: u64) -> Vec<Query> {
 /// each sharded run compared against the same engine's unsharded run.
 #[test]
 fn sharded_is_bit_identical_across_the_matrix() {
+    let _gate = serialised();
     const OBJECTS: usize = 400;
     for format in [Format::GeoJson, Format::Wkt, Format::OsmXml] {
         let dataset = sorted_dataset(7, OBJECTS, format);
@@ -97,6 +104,7 @@ fn sharded_is_bit_identical_across_the_matrix() {
 /// the session layer with its cached `ShardSet`.
 #[test]
 fn auto_policy_matches_single_node() {
+    let _gate = serialised();
     let dataset = sorted_dataset(11, 500, Format::GeoJson);
     let queries = mixed_batch(500);
     let engine = engine(3, Mode::Pat);
@@ -122,6 +130,7 @@ fn auto_policy_matches_single_node() {
 /// (empty, identical to single-node).
 #[test]
 fn pruning_is_observable_and_exactly_accounted() {
+    let _gate = serialised();
     let dataset = sorted_dataset(23, 800, Format::GeoJson);
     let engine = engine(2, Mode::Pat);
     let queries = vec![
@@ -187,68 +196,6 @@ fn pruning_is_observable_and_exactly_accounted() {
     );
 }
 
-/// The deprecated `execute*` wrappers must stay bit-identical to the
-/// unified `run` API they now delegate to — the compatibility
-/// contract of the API redesign.
-#[test]
-#[allow(deprecated)]
-fn deprecated_wrappers_match_the_run_api() {
-    let dataset = sorted_dataset(31, 300, Format::GeoJson);
-    let queries = mixed_batch(300);
-    let single = Query::containment(Mbr::new(-2.0, 48.0, 2.0, 52.0));
-    let engine = engine(2, Mode::Pat);
-
-    // Engine layer.
-    let run1 = engine
-        .run(std::slice::from_ref(&single), &dataset, &ExecOptions::new())
-        .and_then(|o| o.into_single())
-        .expect("run");
-    assert_eq!(engine.execute(&single, &dataset).expect("execute"), run1);
-
-    let runb = engine
-        .run(&queries, &dataset, &ExecOptions::new())
-        .and_then(|o| o.collapse())
-        .expect("run batch");
-    assert_eq!(
-        engine
-            .execute_batch(&queries, &dataset)
-            .expect("execute_batch"),
-        runb
-    );
-
-    let (wrapped, wstats) = engine
-        .execute_batch_timed(&queries, &dataset)
-        .expect("execute_batch_timed");
-    let out = engine
-        .run(&queries, &dataset, &ExecOptions::new().timed())
-        .expect("timed run");
-    assert_eq!(out.batch.as_ref().expect("stats").queries, wstats.queries);
-    assert_eq!(out.collapse().expect("results"), wrapped);
-
-    // Session layer.
-    let session = QuerySession::new(engine.clone(), dataset.clone());
-    let run_iso: Vec<_> = session
-        .run(&queries, &ExecOptions::new().isolated())
-        .expect("isolated run")
-        .outcomes;
-    let wrap_iso = session
-        .execute_batch_isolated(&queries, None)
-        .expect("wrapper");
-    assert_eq!(run_iso, wrap_iso);
-
-    // Scheduler layer.
-    let scheduler = QueryScheduler::new(engine);
-    let id = scheduler.register(dataset);
-    let runs = scheduler
-        .run(id, &queries, &ExecOptions::new())
-        .and_then(|o| o.collapse())
-        .expect("scheduler run");
-    assert_eq!(
-        scheduler.execute_batch(id, &queries).expect("wrapper"),
-        runs
-    );
-}
-
 /// Per-shard fault isolation, driven by the shard-targeted failpoint
 /// `shard.scan.N`: panicking exactly one shard must tombstone exactly
 /// the queries scattered to it (per `ShardSet::scatter_mask`), while
@@ -262,6 +209,7 @@ mod fault_isolation {
 
     #[test]
     fn one_shard_panic_tombstones_only_its_queries() {
+        let _gate = serialised();
         fault::disarm_all();
         let dataset = sorted_dataset(43, 600, Format::GeoJson);
         let engine = engine(2, Mode::Pat);

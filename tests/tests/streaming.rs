@@ -1,5 +1,5 @@
-//! Streaming-differential suite: `execute_streaming` must be
-//! **bit-identical** to buffered `execute` for every format ×
+//! Streaming-differential suite: `Engine::run_streaming` must be
+//! **bit-identical** to buffered `Engine::run` for every format ×
 //! execution mode × chunk size — including chunk boundaries that fall
 //! inside multi-byte markers, UTF-8 escapes, numbers and XML
 //! entities — plus boundary-torture cases (empty final chunk,
@@ -228,6 +228,26 @@ fn streaming_empty_input_matches_buffered_empty() {
     let got = e.stream1(&q, &mut source, Format::Wkt).unwrap();
     assert_eq!(got, want);
     assert_eq!(got, QueryResult::Matches(Vec::new()));
+}
+
+/// On a default-configured engine (default grid, no extent override),
+/// a query streamed in 1 KiB chunks answers exactly as the buffered
+/// `run` over the same bytes, for every format.
+#[test]
+fn default_engine_run_streaming_in_1k_chunks_equals_buffered_run() {
+    let e = Engine::builder().threads(2).build();
+    let region = Mbr::new(-10.0, 40.0, 10.0, 60.0);
+    for format in [Format::GeoJson, Format::Wkt, Format::OsmXml] {
+        let bytes = bytes_for(format, 5, 80);
+        for q in [Query::aggregation(region), Query::containment(region)] {
+            let mut source = SliceChunkSource::new(&bytes, 1024);
+            let streamed = e.stream1(&q, &mut source, format).unwrap();
+            let buffered = e
+                .exec1(&q, &Dataset::from_bytes(bytes.clone(), format))
+                .unwrap();
+            assert_eq!(streamed, buffered, "{format:?} {q:?}");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
