@@ -6,12 +6,18 @@
 //! non-speculative recursive-descent parser that assumes its block
 //! starts at a `{"type":"Feature"` marker, i.e. in a known parser
 //! state (§3.5).
+//!
+//! One cursor parses a whole block, so its flat coordinates buffer
+//! (see `geojson/coords.rs`) is allocated once per block and reused by
+//! every feature in it.
 
 use crate::feature::{MetadataFilter, RawFeature};
+use crate::points::{parse_f64, parse_id};
 use crate::split::find_marker;
-use crate::ParseError;
-use atgis_geometry::{Geometry, LineString, MultiPolygon, Point, Polygon, Ring};
+use crate::{ParseError, MAX_NESTING};
+use atgis_geometry::Geometry;
 
+use super::coords::{interpret_geometry, CoordBuf};
 use super::FEATURE_MARKER;
 
 /// Parses every feature whose object starts in `[start, end)` of
@@ -26,11 +32,16 @@ pub fn parse_block(
     out: &mut Vec<RawFeature>,
 ) -> Result<(), ParseError> {
     let mut pos = start;
+    let mut cur = Cursor {
+        input,
+        pos,
+        coords: CoordBuf::default(),
+    };
     while let Some(at) = find_marker(input, FEATURE_MARKER, pos) {
         if at >= end {
             break;
         }
-        let mut cur = Cursor { input, pos: at };
+        cur.pos = at;
         if let Some(feature) = cur.parse_feature(filter)? {
             out.push(feature);
         }
@@ -43,22 +54,21 @@ pub fn parse_block(
 struct Cursor<'a> {
     input: &'a [u8],
     pos: usize,
-}
-
-/// Raw nested-array coordinate value, interpreted per geometry type
-/// once the whole `coordinates` member is read (this makes the parser
-/// independent of member order). Shared with the token-level FAT
-/// parser.
-pub(crate) enum Coords {
-    /// A numeric leaf.
-    Num(f64),
-    /// A nested array.
-    List(Vec<Coords>),
+    /// The current feature's `coordinates` values, interpreted per
+    /// geometry type once the whole geometry object is read (this
+    /// makes the parser independent of member order).
+    coords: CoordBuf,
 }
 
 impl<'a> Cursor<'a> {
     fn err(&self, msg: impl Into<String>) -> ParseError {
         ParseError::syntax(self.pos as u64, msg)
+    }
+
+    fn too_deep(&self) -> ParseError {
+        ParseError::TooDeep {
+            offset: self.pos as u64,
+        }
     }
 
     fn peek(&self) -> Option<u8> {
@@ -135,18 +145,28 @@ impl<'a> Cursor<'a> {
     fn parse_number(&mut self) -> Result<f64, ParseError> {
         let at = self.pos;
         let text = self.parse_scalar_text()?;
-        text.parse::<f64>()
+        parse_f64(text)
             .map_err(|e| ParseError::syntax(at as u64, format!("bad number {text:?}: {e}")))
     }
 
-    /// Skips one arbitrary JSON value.
-    fn skip_value(&mut self) -> Result<(), ParseError> {
+    /// Parses an `id` member's value (exact for integer literals).
+    fn parse_id(&mut self) -> Result<u64, ParseError> {
+        let at = self.pos;
+        let text = self.parse_scalar_text()?;
+        parse_id(text)
+            .map_err(|e| ParseError::syntax(at as u64, format!("bad number {text:?}: {e}")))
+    }
+
+    /// Skips one arbitrary JSON value, itself inside `depth` arrays or
+    /// objects of the value being skipped.
+    fn skip_value(&mut self, depth: usize) -> Result<(), ParseError> {
         self.skip_ws();
         match self.peek() {
             Some(b'"') => {
                 self.parse_string()?;
                 Ok(())
             }
+            Some(b'{' | b'[') if depth >= MAX_NESTING => Err(self.too_deep()),
             Some(b'{') => {
                 self.expect(b'{')?;
                 if self.eat(b'}') {
@@ -155,7 +175,7 @@ impl<'a> Cursor<'a> {
                 loop {
                     self.parse_string()?;
                     self.expect(b':')?;
-                    self.skip_value()?;
+                    self.skip_value(depth + 1)?;
                     if !self.eat(b',') {
                         break;
                     }
@@ -168,7 +188,7 @@ impl<'a> Cursor<'a> {
                     return Ok(());
                 }
                 loop {
-                    self.skip_value()?;
+                    self.skip_value(depth + 1)?;
                     if !self.eat(b',') {
                         break;
                     }
@@ -187,6 +207,7 @@ impl<'a> Cursor<'a> {
     /// `None` when the metadata filter rejects it.
     fn parse_feature(&mut self, filter: &MetadataFilter) -> Result<Option<RawFeature>, ParseError> {
         let offset = self.pos;
+        self.coords.clear();
         self.expect(b'{')?;
         let mut geometry = None;
         let mut id = 0u64;
@@ -204,10 +225,8 @@ impl<'a> Cursor<'a> {
                         return Err(self.err(format!("expected Feature, got {t:?}")));
                     }
                 }
-                "geometry" => geometry = Some(self.parse_geometry()?),
-                "id" => {
-                    id = self.parse_number()? as u64;
-                }
+                "geometry" => geometry = Some(self.parse_geometry(1)?),
+                "id" => id = self.parse_id()?,
                 "properties" => {
                     self.skip_ws();
                     let span_start = self.pos;
@@ -218,7 +237,7 @@ impl<'a> Cursor<'a> {
                         pair_match || tags_ok
                     };
                 }
-                _ => self.skip_value()?,
+                _ => self.skip_value(0)?,
             }
             if !self.eat(b',') {
                 break;
@@ -258,7 +277,7 @@ impl<'a> Cursor<'a> {
                         matched = true;
                     }
                 }
-                _ => self.skip_value()?,
+                _ => self.skip_value(0)?,
             }
             if !self.eat(b',') {
                 break;
@@ -268,10 +287,15 @@ impl<'a> Cursor<'a> {
         Ok(matched)
     }
 
-    fn parse_geometry(&mut self) -> Result<Geometry, ParseError> {
+    /// Parses a geometry object, itself the `depth`-th level of
+    /// `geometries` nesting.
+    fn parse_geometry(&mut self, depth: usize) -> Result<Geometry, ParseError> {
+        if depth > MAX_NESTING {
+            return Err(self.too_deep());
+        }
         self.expect(b'{')?;
         let mut kind: Option<&str> = None;
-        let mut coords: Option<Coords> = None;
+        let mut coords: Option<usize> = None;
         let mut members: Option<Vec<Geometry>> = None;
         loop {
             let key = self.parse_string()?;
@@ -284,7 +308,7 @@ impl<'a> Cursor<'a> {
                     self.expect(b'[')?;
                     if !self.eat(b']') {
                         loop {
-                            gs.push(self.parse_geometry()?);
+                            gs.push(self.parse_geometry(depth + 1)?);
                             if !self.eat(b',') {
                                 break;
                             }
@@ -293,7 +317,7 @@ impl<'a> Cursor<'a> {
                     }
                     members = Some(gs);
                 }
-                _ => self.skip_value()?,
+                _ => self.skip_value(0)?,
             }
             if !self.eat(b',') {
                 break;
@@ -301,96 +325,58 @@ impl<'a> Cursor<'a> {
         }
         self.expect(b'}')?;
         let kind = kind.ok_or_else(|| self.err("geometry without type"))?;
-        interpret_geometry(kind, coords, members).map_err(|m| self.err(m))
+        interpret_geometry(kind, coords.map(|root| self.coords.value(root)), members)
+            .map_err(|m| self.err(m))
     }
 
-    fn parse_coords(&mut self) -> Result<Coords, ParseError> {
+    /// Appends one `coordinates` value to the buffer and returns the
+    /// index of its root. Iterative: the buffer's open-array stack
+    /// replaces recursion, and bounds it at [`MAX_NESTING`].
+    fn parse_coords(&mut self) -> Result<usize, ParseError> {
+        let root = self.coords.next_index();
         self.skip_ws();
-        if self.peek() == Some(b'[') {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            if !self.eat(b']') {
-                loop {
-                    items.push(self.parse_coords()?);
-                    if !self.eat(b',') {
-                        break;
-                    }
+        if self.peek() != Some(b'[') {
+            let v = self.parse_number()?;
+            self.coords.num(v);
+            return Ok(root);
+        }
+        loop {
+            // At the start of an element: an array opens, anything
+            // else is a numeric leaf.
+            self.skip_ws();
+            if self.peek() == Some(b'[') {
+                if self.coords.open().is_err() {
+                    return Err(self.too_deep());
+                }
+                self.pos += 1;
+                if !self.eat(b']') {
+                    continue;
+                }
+                self.coords.close();
+            } else {
+                let v = self.parse_number()?;
+                self.coords.num(v);
+            }
+            // After an element: `,` starts its sibling; otherwise its
+            // array (and possibly enclosing ones) must close.
+            loop {
+                if self.coords.depth() == 0 {
+                    return Ok(root);
+                }
+                if self.eat(b',') {
+                    break;
                 }
                 self.expect(b']')?;
-            }
-            Ok(Coords::List(items))
-        } else {
-            Ok(Coords::Num(self.parse_number()?))
-        }
-    }
-}
-
-/// Interprets a raw coordinates tree according to the geometry type —
-/// shared by the fast parser and the token-level FAT parser.
-pub(crate) fn interpret_geometry(
-    kind: &str,
-    coords: Option<Coords>,
-    members: Option<Vec<Geometry>>,
-) -> Result<Geometry, String> {
-    match kind {
-        "GeometryCollection" => Ok(Geometry::Collection(
-            members.ok_or("GeometryCollection without geometries")?,
-        )),
-        _ => {
-            let coords = coords.ok_or("geometry without coordinates")?;
-            match kind {
-                "Point" => Ok(Geometry::Point(as_point(&coords)?)),
-                "LineString" => Ok(Geometry::LineString(LineString::new(as_points(&coords)?))),
-                "Polygon" => Ok(Geometry::Polygon(as_polygon(&coords)?)),
-                "MultiPolygon" => {
-                    let list = as_list(&coords)?;
-                    let polys = list.iter().map(as_polygon).collect::<Result<Vec<_>, _>>()?;
-                    Ok(Geometry::MultiPolygon(MultiPolygon::new(polys)))
-                }
-                other => Err(format!("unsupported geometry type {other:?}")),
+                self.coords.close();
             }
         }
     }
-}
-
-fn as_list(c: &Coords) -> Result<&[Coords], String> {
-    match c {
-        Coords::List(l) => Ok(l),
-        Coords::Num(_) => Err("expected an array".into()),
-    }
-}
-
-fn as_point(c: &Coords) -> Result<Point, String> {
-    let l = as_list(c)?;
-    if l.len() < 2 {
-        return Err("point needs two coordinates".into());
-    }
-    match (&l[0], &l[1]) {
-        (Coords::Num(x), Coords::Num(y)) => Ok(Point::new(*x, *y)),
-        _ => Err("point coordinates must be numbers".into()),
-    }
-}
-
-fn as_points(c: &Coords) -> Result<Vec<Point>, String> {
-    as_list(c)?.iter().map(as_point).collect()
-}
-
-fn as_polygon(c: &Coords) -> Result<Polygon, String> {
-    let rings = as_list(c)?;
-    if rings.is_empty() {
-        return Err("polygon needs at least one ring".into());
-    }
-    let exterior = Ring::new(as_points(&rings[0])?);
-    let holes = rings[1..]
-        .iter()
-        .map(|r| Ok(Ring::new(as_points(r)?)))
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(Polygon::new(exterior, holes))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atgis_geometry::Point;
 
     fn one(doc: &str) -> RawFeature {
         let mut out = Vec::new();

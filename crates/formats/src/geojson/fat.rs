@@ -24,12 +24,12 @@
 //! returning wrong results.
 
 use crate::feature::{MetadataFilter, RawFeature};
-use crate::points::parse_float;
+use crate::points::{parse_float, parse_id_span};
 use crate::split::Block;
-use crate::ParseError;
+use crate::{ParseError, MAX_NESTING};
 use atgis_geometry::Geometry;
 
-use super::fast::{interpret_geometry, Coords};
+use super::coords::{interpret_geometry, CoordBuf};
 use super::lexer::{lex_block, Token, TokenKind, STATE_OUT};
 
 /// The per-block fragment: one [`GeoFragment`] per speculated lexer
@@ -54,7 +54,7 @@ pub struct GeoFragment {
     synced: bool,
     /// Set when a spanning parse failed — only fatal if this fragment
     /// chain is the one selected by the true lexer start state.
-    poisoned: Option<u64>,
+    poisoned: Option<ParseError>,
 }
 
 /// Lexes and structurally scans one block.
@@ -186,10 +186,7 @@ impl GeoFragment {
                 let mut spanning = std::mem::take(&mut self.tail);
                 spanning.append(&mut other.head);
                 let (mid, leftover, poison2) = parse_run(input, &spanning, filter);
-                let mut poisoned = poisoned.or(poison2);
-                if !leftover.is_empty() {
-                    poisoned = poisoned.or(leftover.first().map(|t| t.pos));
-                }
+                let poisoned = poisoned.or(poison2).or(leftover_desync(&leftover));
                 self.features.extend(mid);
                 self.features.append(&mut other.features);
                 GeoFragment {
@@ -211,33 +208,41 @@ impl GeoFragment {
         input: &[u8],
         filter: &MetadataFilter,
     ) -> Result<Vec<RawFeature>, ParseError> {
-        if let Some(offset) = self.poisoned {
-            return Err(ParseError::Desync { offset });
+        if let Some(e) = self.poisoned {
+            return Err(e);
         }
         let mut out = Vec::new();
         if !self.synced {
             // No feature anywhere (empty collection) — head holds only
             // preamble/epilogue tokens.
             let (features, leftover, poison) = parse_run(input, &self.head, filter);
-            if let Some(offset) = poison.or(leftover.first().map(|t| t.pos)) {
-                return Err(ParseError::Desync { offset });
+            if let Some(e) = poison.or(leftover_desync(&leftover)) {
+                return Err(e);
             }
             return Ok(features);
         }
         // Head: preamble only — there must be no feature hidden in it.
         let (pre, pre_left, pre_poison) = parse_run(input, &self.head, filter);
-        if let Some(offset) = pre_poison.or(pre_left.first().map(|t| t.pos)) {
-            return Err(ParseError::Desync { offset });
+        if let Some(e) = pre_poison.or(leftover_desync(&pre_left)) {
+            return Err(e);
         }
         out.extend(pre);
         out.append(&mut self.features);
         let (tail_feats, leftover, poison) = parse_run(input, &self.tail, filter);
-        if let Some(offset) = poison.or(leftover.first().map(|t| t.pos)) {
-            return Err(ParseError::Desync { offset });
+        if let Some(e) = poison.or(leftover_desync(&leftover)) {
+            return Err(e);
         }
         out.extend(tail_feats);
         Ok(out)
     }
+}
+
+/// Tokens left over after a run that should have completed: the
+/// speculation went wrong.
+fn leftover_desync(leftover: &[Token]) -> Option<ParseError> {
+    leftover
+        .first()
+        .map(|t| ParseError::Desync { offset: t.pos })
 }
 
 /// True when `tokens[i..]` begins the `{"type":"Feature"` pattern.
@@ -268,21 +273,22 @@ fn str_span(input: &[u8], start: Token, end: Token) -> Option<&str> {
 }
 
 /// Parses features from a token run that starts at a feature boundary.
-/// Returns `(features, leftover_tail_tokens, poison_offset)`; leftover
+/// Returns `(features, leftover_tail_tokens, poison)`; leftover
 /// tokens begin at an incomplete feature's `{`. Separator tokens
 /// between features (`,`, `]`, `}` of the enclosing collection) are
-/// skipped.
+/// skipped. One coordinates buffer serves every feature of the run.
 fn parse_run(
     input: &[u8],
     tokens: &[Token],
     filter: &MetadataFilter,
-) -> (Vec<RawFeature>, Vec<Token>, Option<u64>) {
+) -> (Vec<RawFeature>, Vec<Token>, Option<ParseError>) {
     let mut features = Vec::new();
     let mut poisoned = None;
+    let mut coords = CoordBuf::default();
     let mut i = 0;
     while i < tokens.len() {
         if is_feature_start(input, tokens, i) {
-            match parse_feature_tokens(input, tokens, i, filter) {
+            match parse_feature_tokens(input, tokens, i, filter, &mut coords) {
                 Ok((feature, next)) => {
                     if let Some(f) = feature {
                         features.push(f);
@@ -293,7 +299,11 @@ fn parse_run(
                     return (features, tokens[i..].to_vec(), poisoned);
                 }
                 Err(TokenParseError::Invalid(offset)) => {
-                    poisoned = poisoned.or(Some(offset));
+                    poisoned = poisoned.or(Some(ParseError::Desync { offset }));
+                    i += 1;
+                }
+                Err(TokenParseError::TooDeep(offset)) => {
+                    poisoned = poisoned.or(Some(ParseError::TooDeep { offset }));
                     i += 1;
                 }
             }
@@ -313,6 +323,8 @@ enum TokenParseError {
     Incomplete,
     /// Structurally invalid at the given offset.
     Invalid(u64),
+    /// Nested deeper than [`MAX_NESTING`] at the given offset.
+    TooDeep(u64),
 }
 
 type TpResult<T> = Result<T, TokenParseError>;
@@ -372,12 +384,17 @@ impl<'a> TokCursor<'a> {
                     Ok(())
                 }
                 TokenKind::ObjOpen | TokenKind::ArrOpen => {
-                    // Balanced skip.
-                    let mut depth = 0i32;
+                    // Balanced skip, bounded like the PAT parser's.
+                    let mut depth = 0usize;
                     loop {
                         let t = self.next()?;
                         match t.kind {
-                            TokenKind::ObjOpen | TokenKind::ArrOpen => depth += 1,
+                            TokenKind::ObjOpen | TokenKind::ArrOpen => {
+                                depth += 1;
+                                if depth > MAX_NESTING {
+                                    return Err(TokenParseError::TooDeep(t.pos));
+                                }
+                            }
                             TokenKind::ObjClose | TokenKind::ArrClose => {
                                 depth -= 1;
                                 if depth == 0 {
@@ -403,7 +420,9 @@ fn parse_feature_tokens(
     tokens: &[Token],
     start: usize,
     filter: &MetadataFilter,
+    coords: &mut CoordBuf,
 ) -> TpResult<(Option<RawFeature>, usize)> {
+    coords.clear();
     let mut c = TokCursor {
         input,
         tokens,
@@ -423,11 +442,10 @@ fn parse_feature_tokens(
                     return Err(TokenParseError::Invalid(colon.pos));
                 }
             }
-            "geometry" => geometry = Some(parse_geometry_tokens(&mut c)?),
+            "geometry" => geometry = Some(parse_geometry_tokens(&mut c, coords, 1)?),
             "id" => {
                 let (s, e) = c.scalar_span(colon.pos)?;
-                id = parse_float(input, s, e).map_err(|_| TokenParseError::Invalid(colon.pos))?
-                    as u64;
+                id = parse_id_span(input, s, e).map_err(|_| TokenParseError::Invalid(colon.pos))?;
             }
             "properties" => {
                 let open = c.peek().ok_or(TokenParseError::Incomplete)?;
@@ -494,26 +512,34 @@ fn parse_properties_tokens(c: &mut TokCursor<'_>, filter: &MetadataFilter) -> Tp
     }
 }
 
-fn parse_geometry_tokens(c: &mut TokCursor<'_>) -> TpResult<Geometry> {
+/// Parses a geometry object, itself the `depth`-th level of
+/// `geometries` nesting, appending its coordinates to `coords`.
+fn parse_geometry_tokens(
+    c: &mut TokCursor<'_>,
+    coords: &mut CoordBuf,
+    depth: usize,
+) -> TpResult<Geometry> {
     let open = c.expect(TokenKind::ObjOpen)?;
+    if depth > MAX_NESTING {
+        return Err(TokenParseError::TooDeep(open.pos));
+    }
     let mut kind: Option<String> = None;
-    let mut coords: Option<Coords> = None;
+    let mut root: Option<usize> = None;
     let mut members: Option<Vec<Geometry>> = None;
     loop {
         let key = c.parse_string()?;
         let _colon = c.expect(TokenKind::Colon)?;
         match key {
             "type" => kind = Some(c.parse_string()?.to_owned()),
-            "coordinates" => coords = Some(parse_coords_tokens(c)?),
+            "coordinates" => root = Some(parse_coords_tokens(c, coords)?),
             "geometries" => {
-                let arr = c.expect(TokenKind::ArrOpen)?;
-                let _ = arr;
+                c.expect(TokenKind::ArrOpen)?;
                 let mut gs = Vec::new();
                 if matches!(c.peek().map(|t| t.kind), Some(TokenKind::ArrClose)) {
                     c.next()?;
                 } else {
                     loop {
-                        gs.push(parse_geometry_tokens(c)?);
+                        gs.push(parse_geometry_tokens(c, coords, depth + 1)?);
                         let sep = c.next()?;
                         match sep.kind {
                             TokenKind::Comma => continue,
@@ -531,7 +557,7 @@ fn parse_geometry_tokens(c: &mut TokCursor<'_>) -> TpResult<Geometry> {
             TokenKind::Comma => continue,
             TokenKind::ObjClose => {
                 let kind = kind.ok_or(TokenParseError::Invalid(sep.pos))?;
-                return interpret_geometry(&kind, coords, members)
+                return interpret_geometry(&kind, root.map(|r| coords.value(r)), members)
                     .map_err(|_| TokenParseError::Invalid(open.pos));
             }
             _ => return Err(TokenParseError::Invalid(sep.pos)),
@@ -539,35 +565,41 @@ fn parse_geometry_tokens(c: &mut TokCursor<'_>) -> TpResult<Geometry> {
     }
 }
 
-/// Parses a coordinates value: nested arrays whose numeric leaves are
-/// byte spans between structural tokens (the "point offsets" the
-/// paper's stateless point parser consumes).
-fn parse_coords_tokens(c: &mut TokCursor<'_>) -> TpResult<Coords> {
+/// Appends a coordinates value to `coords` and returns its root index:
+/// nested arrays whose numeric leaves are byte spans between
+/// structural tokens (the "point offsets" the paper's stateless point
+/// parser consumes). Iterative, bounded at [`MAX_NESTING`] arrays.
+fn parse_coords_tokens(c: &mut TokCursor<'_>, coords: &mut CoordBuf) -> TpResult<usize> {
+    let root = coords.next_index();
     let open = c.expect(TokenKind::ArrOpen)?;
-    let mut items = Vec::new();
+    coords
+        .open()
+        .map_err(|_| TokenParseError::TooDeep(open.pos))?;
+    // Position of the last structural token consumed: a leaf is the
+    // text between it and the next one.
     let mut prev_pos = open.pos;
     loop {
         let next = c.peek().ok_or(TokenParseError::Incomplete)?;
         match next.kind {
             TokenKind::ArrOpen => {
-                items.push(parse_coords_tokens(c)?);
-                prev_pos = c.tokens.get(c.i - 1).map(|t| t.pos).unwrap_or(prev_pos);
+                coords
+                    .open()
+                    .map_err(|_| TokenParseError::TooDeep(next.pos))?;
             }
-            TokenKind::ArrClose => {
+            TokenKind::ArrClose | TokenKind::Comma => {
                 if let Some(v) = scalar_between(c.input, prev_pos, next.pos)? {
-                    items.push(Coords::Num(v));
+                    coords.num(v);
                 }
-                c.next()?;
-                return Ok(Coords::List(items));
-            }
-            TokenKind::Comma => {
-                if let Some(v) = scalar_between(c.input, prev_pos, next.pos)? {
-                    items.push(Coords::Num(v));
+                if next.kind == TokenKind::ArrClose {
+                    coords.close();
                 }
-                c.next()?;
-                prev_pos = next.pos;
             }
             _ => return Err(TokenParseError::Invalid(next.pos)),
+        }
+        c.next()?;
+        prev_pos = next.pos;
+        if coords.depth() == 0 {
+            return Ok(root);
         }
     }
 }

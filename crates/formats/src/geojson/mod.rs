@@ -17,6 +17,7 @@
 //!   optimised block-local recursive-descent parser ([`fast`], our
 //!   RapidJSON stand-in).
 
+mod coords;
 pub mod fast;
 pub mod fat;
 pub mod lexer;

@@ -121,6 +121,12 @@ pub fn parse_all(
     }
 }
 
+/// The deepest nesting any parser follows: JSON arrays and objects in
+/// a GeoJSON `coordinates` or skipped value, GeoJSON `geometries` and
+/// WKT `GEOMETRYCOLLECTION`s. Deeper input fails with
+/// [`ParseError::TooDeep`] instead of exhausting the stack.
+pub const MAX_NESTING: usize = 256;
+
 /// Errors surfaced while parsing raw spatial data.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParseError {
@@ -137,6 +143,11 @@ pub enum ParseError {
     /// metadata, §3.5).
     Desync {
         /// Byte offset of the suspect block.
+        offset: u64,
+    },
+    /// The input nests deeper than [`MAX_NESTING`] levels.
+    TooDeep {
+        /// Byte offset of the first level past the limit.
         offset: u64,
     },
 }
@@ -159,6 +170,12 @@ impl std::fmt::Display for ParseError {
             }
             ParseError::Desync { offset } => {
                 write!(f, "speculative parse desynchronised near byte {offset}")
+            }
+            ParseError::TooDeep { offset } => {
+                write!(
+                    f,
+                    "nesting deeper than {MAX_NESTING} levels at byte {offset}"
+                )
             }
         }
     }

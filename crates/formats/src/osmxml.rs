@@ -9,13 +9,26 @@
 //! table of all points and ways …, which is constructed during the
 //! first data pass" (§4.4).
 //!
-//! This module implements that two-pass design: [`collect_nodes`]
-//! builds the temporary node table from blocks (parallelisable —
-//! tables merge by map union), [`parse_elements`] assembles ways and
-//! relations into features against the completed table. Blocks split
-//! on newlines (OSM XML is element-per-line).
+//! This module implements that design as one collection pass and one
+//! sequential assembly:
+//!
+//! 1. [`collect_block`] reads a byte range once and returns every
+//!    node, way and relation element that starts in it, as an
+//!    [`XmlBlock`]. Blocks are independent (parallelisable) and merge
+//!    by concatenation; blocks split on newlines (OSM XML is
+//!    element-per-line).
+//! 2. [`XmlBlock::node_table`] builds the temporary node table once,
+//!    and [`assemble`] resolves ways and relations against it.
+//!
+//! The scanner borrows element names and attribute text from the
+//! input; the only per-element allocations are the owned way tags and
+//! relation roles kept in [`WaySpec`] and [`RelationSpec`]. Node
+//! coordinates go through the crate's one number parser,
+//! [`crate::points::parse_f64`].
 
 use crate::feature::{MetadataFilter, RawFeature};
+use crate::points::parse_f64;
+use crate::split::{find_marker, memchr};
 use crate::ParseError;
 use atgis_geometry::{Geometry, LineString, MultiPolygon, Point, Polygon, Ring};
 use std::collections::HashMap;
@@ -23,32 +36,9 @@ use std::collections::HashMap;
 /// The temporary node table: OSM node id → coordinate.
 pub type NodeTable = HashMap<u64, Point>;
 
-/// Pass 1: scans a byte range for `<node …/>` elements, adding them to
-/// a node table. Tables built for disjoint blocks merge by union.
-pub fn collect_nodes(input: &[u8], start: usize, end: usize) -> Result<NodeTable, ParseError> {
-    let mut table = NodeTable::new();
-    let mut scanner = Scanner { input, pos: start };
-    while let Some(elem) = scanner.next_element(end)? {
-        if elem.name == "node" {
-            let id = elem
-                .attr_u64("id")
-                .ok_or_else(|| ParseError::syntax(elem.offset as u64, "node without id"))?;
-            let lat = elem.attr_f64("lat");
-            let lon = elem.attr_f64("lon");
-            if let (Some(lat), Some(lon)) = (lat, lon) {
-                table.insert(id, Point::new(lon, lat));
-            }
-        }
-        // Other elements (the <osm> container, ways, relations, tags)
-        // are scanned *through*, not skipped over: nodes may appear
-        // anywhere below them.
-    }
-    Ok(table)
-}
-
 /// A parsed way: id, node refs and tags — kept in the temporary table
 /// so relations can assemble multipolygons from member ways.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WaySpec {
     /// OSM way id.
     pub id: u64,
@@ -63,7 +53,7 @@ pub struct WaySpec {
 }
 
 /// A parsed relation: id plus way members with roles.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RelationSpec {
     /// OSM relation id.
     pub id: u64,
@@ -75,65 +65,72 @@ pub struct RelationSpec {
     pub len: u32,
 }
 
-/// Pass 2a: scans a byte range for `<way>` elements. Block-parallel;
-/// way lists from disjoint blocks merge by concatenation.
-pub fn collect_ways(input: &[u8], start: usize, end: usize) -> Result<Vec<WaySpec>, ParseError> {
-    let mut ways = Vec::new();
-    let mut scanner = Scanner { input, pos: start };
-    while let Some(elem) = scanner.next_element(end)? {
-        if elem.name == "way" {
-            let id = elem
-                .attr_u64("id")
-                .ok_or_else(|| ParseError::syntax(elem.offset as u64, "way without id"))?;
-            let (refs, tags, end_pos) = scanner.way_children(&elem)?;
-            ways.push(WaySpec {
-                id,
-                refs,
-                tags,
-                offset: elem.offset as u64,
-                len: (end_pos - elem.offset) as u32,
-            });
-        }
-    }
-    Ok(ways)
+/// Everything one block contributes, in document order. The merge of
+/// two adjacent blocks is concatenation.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct XmlBlock {
+    /// `(id, point)` of every `<node>` with an id, `lat` and `lon`,
+    /// outside any way or relation, or a direct child of one. A later
+    /// duplicate id overrides an earlier one.
+    pub nodes: Vec<(u64, Point)>,
+    /// Every `<way>` outside any way or relation, or a direct child of
+    /// a relation.
+    pub ways: Vec<WaySpec>,
+    /// Every `<relation>` outside any way or relation.
+    pub relations: Vec<RelationSpec>,
 }
 
-/// Pass 2b: scans a byte range for `<relation>` elements.
-pub fn collect_relations(
-    input: &[u8],
-    start: usize,
-    end: usize,
-) -> Result<Vec<RelationSpec>, ParseError> {
-    let mut relations = Vec::new();
-    let mut scanner = Scanner { input, pos: start };
-    while let Some(elem) = scanner.next_element(end)? {
-        match elem.name.as_str() {
-            "relation" => {
-                let id = elem
-                    .attr_u64("id")
-                    .ok_or_else(|| ParseError::syntax(elem.offset as u64, "relation without id"))?;
-                let (members, end_pos) = scanner.relation_children(&elem)?;
-                relations.push(RelationSpec {
+impl XmlBlock {
+    /// Appends `other`, which must cover the input after `self`.
+    pub fn append(&mut self, mut other: XmlBlock) {
+        self.nodes.append(&mut other.nodes);
+        self.ways.append(&mut other.ways);
+        self.relations.append(&mut other.relations);
+    }
+
+    /// Builds the temporary node table (later ids override earlier).
+    pub fn node_table(&self) -> NodeTable {
+        let mut table = NodeTable::with_capacity(self.nodes.len());
+        table.extend(self.nodes.iter().copied());
+        table
+    }
+}
+
+/// The collection pass over one byte range: every node, way and
+/// relation element that *starts* in `[start, end)` (their contents
+/// may run past `end`).
+pub fn collect_block(input: &[u8], start: usize, end: usize) -> Result<XmlBlock, ParseError> {
+    let mut out = XmlBlock::default();
+    let mut sc = Scanner {
+        input,
+        pos: start,
+        attrs: Vec::new(),
+    };
+    while let Some(elem) = sc.next_element(end)? {
+        match elem.name {
+            b"node" => sc.push_node(&elem, &mut out.nodes)?,
+            b"way" => sc.push_way(&elem, &mut out)?,
+            b"relation" => {
+                let id = sc.required_id(&elem, "relation without id")?;
+                let members = sc.relation_children(&elem, &mut out)?;
+                out.relations.push(RelationSpec {
                     id,
                     members,
                     offset: elem.offset as u64,
-                    len: (end_pos - elem.offset) as u32,
+                    len: (sc.pos - elem.offset) as u32,
                 });
             }
-            // Ways must be stepped over (their children contain no
-            // relations, and scanning into them is harmless but slow).
-            "way" => {
-                let _ = scanner.way_children(&elem)?;
-            }
+            // Everything else (the <osm> container, <bounds>, stray
+            // children) is scanned *through*, not skipped over.
             _ => {}
         }
     }
-    Ok(relations)
+    Ok(out)
 }
 
 /// Final assembly: resolves way refs against the node table, attaches
 /// relation members and emits features. Runs once after the parallel
-/// collection passes (its cost is proportional to the *object* count,
+/// collection pass (its cost is proportional to the *object* count,
 /// not the byte count, so it does not bound scalability).
 pub fn assemble(
     ways: &[WaySpec],
@@ -228,20 +225,6 @@ pub fn assemble(
     out
 }
 
-/// Pass 2 over one range with a prebuilt node table (legacy single-
-/// range form used by [`parse`]).
-pub fn parse_elements(
-    input: &[u8],
-    start: usize,
-    end: usize,
-    nodes: &NodeTable,
-    filter: &MetadataFilter,
-) -> Result<Vec<RawFeature>, ParseError> {
-    let ways = collect_ways(input, start, end)?;
-    let relations = collect_relations(input, start, end)?;
-    Ok(assemble(&ways, &relations, nodes, filter))
-}
-
 fn way_ring(way: &WaySpec, nodes: &NodeTable) -> Option<Ring> {
     let pts: Vec<Point> = way
         .refs
@@ -254,41 +237,30 @@ fn way_ring(way: &WaySpec, nodes: &NodeTable) -> Option<Ring> {
     Some(Ring::new(pts))
 }
 
-/// Full two-pass parse of an OSM XML document.
+/// Full parse of an OSM XML document: one collection pass over the
+/// whole input, then assembly.
 pub fn parse(input: &[u8], filter: &MetadataFilter) -> Result<Vec<RawFeature>, ParseError> {
-    let nodes = collect_nodes(input, 0, input.len())?;
-    parse_elements(input, 0, input.len(), &nodes, filter)
+    let block = collect_block(input, 0, input.len())?;
+    Ok(assemble(
+        &block.ways,
+        &block.relations,
+        &block.node_table(),
+        filter,
+    ))
 }
 
-/// One opening tag with its attributes.
-struct Element {
-    name: String,
-    attrs: Vec<(String, String)>,
+/// A `<way>` body: node refs and tags.
+type WayBody = (Vec<u64>, Vec<(String, String)>);
+
+/// One opening tag. Its attributes are in the scanner's buffer until
+/// the next element is read.
+#[derive(Clone, Copy)]
+struct Element<'a> {
+    name: &'a [u8],
     /// Offset of the `<`.
     offset: usize,
     /// True when the tag self-closes (`/>`).
     self_closing: bool,
-}
-
-/// A `<way>` body: node refs, tags, and the position just past the
-/// closing tag.
-type WayBody = (Vec<u64>, Vec<(String, String)>, usize);
-
-impl Element {
-    fn attr(&self, key: &str) -> Option<&str> {
-        self.attrs
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn attr_u64(&self, key: &str) -> Option<u64> {
-        self.attr(key)?.parse().ok()
-    }
-
-    fn attr_f64(&self, key: &str) -> Option<f64> {
-        self.attr(key)?.parse().ok()
-    }
 }
 
 /// A minimal XML scanner sufficient for OSM files: elements,
@@ -298,14 +270,61 @@ impl Element {
 struct Scanner<'a> {
     input: &'a [u8],
     pos: usize,
+    /// `(key, value)` attributes of the element read last, reused
+    /// across elements.
+    attrs: Vec<(&'a str, &'a str)>,
 }
 
 impl<'a> Scanner<'a> {
+    fn attr(&self, key: &str) -> Option<&'a str> {
+        self.attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
+    }
+
+    fn attr_u64(&self, key: &str) -> Option<u64> {
+        self.attr(key)?.parse().ok()
+    }
+
+    fn attr_f64(&self, key: &str) -> Option<f64> {
+        parse_f64(self.attr(key)?).ok()
+    }
+
+    fn required_id(&self, elem: &Element<'_>, missing: &str) -> Result<u64, ParseError> {
+        self.attr_u64("id")
+            .ok_or_else(|| ParseError::syntax(elem.offset as u64, missing))
+    }
+
+    /// Records the node just read (its contents are not consumed).
+    fn push_node(
+        &self,
+        elem: &Element<'_>,
+        nodes: &mut Vec<(u64, Point)>,
+    ) -> Result<(), ParseError> {
+        let id = self.required_id(elem, "node without id")?;
+        if let (Some(lat), Some(lon)) = (self.attr_f64("lat"), self.attr_f64("lon")) {
+            nodes.push((id, Point::new(lon, lat)));
+        }
+        Ok(())
+    }
+
+    /// Reads the way just read, with its children, into `out`.
+    fn push_way(&mut self, elem: &Element<'_>, out: &mut XmlBlock) -> Result<(), ParseError> {
+        let id = self.required_id(elem, "way without id")?;
+        let (refs, tags) = self.way_children(elem, &mut out.nodes)?;
+        out.ways.push(WaySpec {
+            id,
+            refs,
+            tags,
+            offset: elem.offset as u64,
+            len: (self.pos - elem.offset) as u32,
+        });
+        Ok(())
+    }
+
     /// Advances to the next opening element that *starts* before
     /// `end`. Skips comments, declarations and closing tags.
-    fn next_element(&mut self, end: usize) -> Result<Option<Element>, ParseError> {
+    fn next_element(&mut self, end: usize) -> Result<Option<Element<'a>>, ParseError> {
         loop {
-            let lt = match crate::split::find_marker(self.input, b"<", self.pos) {
+            let lt = match memchr(b'<', self.input, self.pos) {
                 Some(p) if p < end => p,
                 _ => return Ok(None),
             };
@@ -317,7 +336,7 @@ impl<'a> Scanner<'a> {
                 }
                 Some(b'!') => {
                     // Comment: skip to '-->'.
-                    match crate::split::find_marker(self.input, b"-->", self.pos) {
+                    match find_marker(self.input, b"-->", self.pos) {
                         Some(p) => self.pos = p + 3,
                         None => return Ok(None),
                     }
@@ -333,7 +352,7 @@ impl<'a> Scanner<'a> {
     }
 
     fn skip_to_gt(&mut self) -> Result<(), ParseError> {
-        match crate::split::find_marker(self.input, b">", self.pos) {
+        match memchr(b'>', self.input, self.pos) {
             Some(p) => {
                 self.pos = p + 1;
                 Ok(())
@@ -342,45 +361,38 @@ impl<'a> Scanner<'a> {
         }
     }
 
-    fn read_element(&mut self, offset: usize) -> Result<Element, ParseError> {
+    /// Reads the tag whose `<` is at `offset` (the cursor is just past
+    /// it), filling the attribute buffer.
+    fn read_element(&mut self, offset: usize) -> Result<Element<'a>, ParseError> {
+        let input = self.input;
         let name_start = self.pos;
-        while self
-            .input
+        while input
             .get(self.pos)
             .is_some_and(|b| b.is_ascii_alphanumeric() || *b == b'_')
         {
             self.pos += 1;
         }
-        let name = std::str::from_utf8(&self.input[name_start..self.pos])
-            .map_err(|_| ParseError::syntax(offset as u64, "non-UTF8 tag name"))?
-            .to_owned();
-        let mut attrs = Vec::new();
+        let name = &input[name_start..self.pos];
+        self.attrs.clear();
         loop {
-            // Skip whitespace.
-            while self
-                .input
-                .get(self.pos)
-                .is_some_and(|b| b.is_ascii_whitespace())
-            {
+            while input.get(self.pos).is_some_and(|b| b.is_ascii_whitespace()) {
                 self.pos += 1;
             }
-            match self.input.get(self.pos) {
+            match input.get(self.pos) {
                 Some(b'>') => {
                     self.pos += 1;
                     return Ok(Element {
                         name,
-                        attrs,
                         offset,
                         self_closing: false,
                     });
                 }
                 Some(b'/') => {
                     self.pos += 1;
-                    if self.input.get(self.pos) == Some(&b'>') {
+                    if input.get(self.pos) == Some(&b'>') {
                         self.pos += 1;
                         return Ok(Element {
                             name,
-                            attrs,
                             offset,
                             self_closing: true,
                         });
@@ -393,111 +405,128 @@ impl<'a> Scanner<'a> {
                 Some(_) => {
                     // attribute: key="value"
                     let key_start = self.pos;
-                    while self
-                        .input
+                    while input
                         .get(self.pos)
                         .is_some_and(|b| *b != b'=' && !b.is_ascii_whitespace())
                     {
                         self.pos += 1;
                     }
-                    let key = std::str::from_utf8(&self.input[key_start..self.pos])
-                        .map_err(|_| ParseError::syntax(key_start as u64, "non-UTF8 attr"))?
-                        .to_owned();
-                    if self.input.get(self.pos) != Some(&b'=') {
+                    let key = std::str::from_utf8(&input[key_start..self.pos])
+                        .map_err(|_| ParseError::syntax(key_start as u64, "non-UTF8 attr"))?;
+                    if input.get(self.pos) != Some(&b'=') {
                         return Err(ParseError::syntax(self.pos as u64, "expected '='"));
                     }
                     self.pos += 1;
-                    if self.input.get(self.pos) != Some(&b'"') {
+                    if input.get(self.pos) != Some(&b'"') {
                         return Err(ParseError::syntax(self.pos as u64, "expected '\"'"));
                     }
                     self.pos += 1;
                     let val_start = self.pos;
-                    self.pos = crate::split::memchr(b'"', self.input, self.pos)
-                        .unwrap_or(self.input.len());
-                    let value = std::str::from_utf8(&self.input[val_start..self.pos])
-                        .map_err(|_| ParseError::syntax(val_start as u64, "non-UTF8 value"))?
-                        .to_owned();
+                    self.pos = memchr(b'"', input, self.pos).unwrap_or(input.len());
+                    let value = std::str::from_utf8(&input[val_start..self.pos])
+                        .map_err(|_| ParseError::syntax(val_start as u64, "non-UTF8 value"))?;
                     self.pos += 1; // closing quote
-                    attrs.push((key, value));
+                    self.attrs.push((key, value));
                 }
                 None => return Err(ParseError::syntax(self.pos as u64, "unterminated element")),
             }
         }
     }
 
-    /// Skips over an element's content (if not self-closing).
-    fn skip_element(&mut self, elem: &Element) -> Result<(), ParseError> {
+    /// Skips over an element's content (if not self-closing): to just
+    /// past the first `</name>`, or nowhere when there is none (an
+    /// unclosed container such as `<osm>` — scan on).
+    fn skip_element(&mut self, elem: &Element<'_>) {
         if elem.self_closing {
-            return Ok(());
+            return;
         }
-        let close = format!("</{}>", elem.name);
-        match crate::split::find_marker(self.input, close.as_bytes(), self.pos) {
-            Some(p) => {
-                self.pos = p + close.len();
-                Ok(())
+        let mut from = self.pos;
+        while let Some(p) = find_marker(self.input, b"</", from) {
+            let rest = &self.input[p + 2..];
+            if rest.starts_with(elem.name) && rest.get(elem.name.len()) == Some(&b'>') {
+                self.pos = p + 3 + elem.name.len();
+                return;
             }
-            None => Ok(()), // Unclosed container (e.g. <osm>) — scan on.
+            from = p + 1;
         }
     }
 
-    /// Reads the children of a `<way>`: `<nd ref>` and `<tag k v>`.
-    /// Returns (refs, tags, end position after `</way>`).
-    fn way_children(&mut self, elem: &Element) -> Result<WayBody, ParseError> {
+    /// Reads the children of a `<way>` up to and past its `</way>`:
+    /// `<nd ref>` and `<tag k v>`, plus any nested `<node>`, which is
+    /// recorded in `nodes`. Returns (refs, tags).
+    fn way_children(
+        &mut self,
+        elem: &Element<'_>,
+        nodes: &mut Vec<(u64, Point)>,
+    ) -> Result<WayBody, ParseError> {
         let mut refs = Vec::new();
         let mut tags = Vec::new();
         if elem.self_closing {
-            return Ok((refs, tags, self.pos));
+            return Ok((refs, tags));
         }
         loop {
-            let lt = crate::split::find_marker(self.input, b"<", self.pos)
+            let lt = memchr(b'<', self.input, self.pos)
                 .ok_or_else(|| ParseError::syntax(self.pos as u64, "unterminated way"))?;
             self.pos = lt + 1;
             if self.input[self.pos..].starts_with(b"/way>") {
                 self.pos += 5;
-                return Ok((refs, tags, self.pos));
+                return Ok((refs, tags));
             }
             let child = self.read_element(lt)?;
-            match child.name.as_str() {
-                "nd" => {
-                    if let Some(r) = child.attr_u64("ref") {
+            match child.name {
+                b"nd" => {
+                    if let Some(r) = self.attr_u64("ref") {
                         refs.push(r);
                     }
                 }
-                "tag" => {
-                    if let (Some(k), Some(v)) = (child.attr("k"), child.attr("v")) {
+                b"tag" => {
+                    if let (Some(k), Some(v)) = (self.attr("k"), self.attr("v")) {
                         tags.push((k.to_owned(), v.to_owned()));
                     }
                 }
-                _ => self.skip_element(&child)?,
+                b"node" => {
+                    self.push_node(&child, nodes)?;
+                    self.skip_element(&child);
+                }
+                _ => self.skip_element(&child),
             }
         }
     }
 
-    /// Reads the children of a `<relation>`: way members with roles.
+    /// Reads the children of a `<relation>` up to and past its
+    /// `</relation>`: way members with roles, plus any nested `<node>`
+    /// or `<way>`, which go to `out`.
     fn relation_children(
         &mut self,
-        elem: &Element,
-    ) -> Result<(Vec<(u64, String)>, usize), ParseError> {
+        elem: &Element<'_>,
+        out: &mut XmlBlock,
+    ) -> Result<Vec<(u64, String)>, ParseError> {
         let mut members = Vec::new();
         if elem.self_closing {
-            return Ok((members, self.pos));
+            return Ok(members);
         }
         loop {
-            let lt = crate::split::find_marker(self.input, b"<", self.pos)
+            let lt = memchr(b'<', self.input, self.pos)
                 .ok_or_else(|| ParseError::syntax(self.pos as u64, "unterminated relation"))?;
             self.pos = lt + 1;
             if self.input[self.pos..].starts_with(b"/relation>") {
                 self.pos += 10;
-                return Ok((members, self.pos));
+                return Ok(members);
             }
             let child = self.read_element(lt)?;
-            if child.name == "member" && child.attr("type") == Some("way") {
-                if let Some(r) = child.attr_u64("ref") {
-                    let role = child.attr("role").unwrap_or("outer").to_owned();
-                    members.push((r, role));
+            match child.name {
+                b"member" if self.attr("type") == Some("way") => {
+                    if let Some(r) = self.attr_u64("ref") {
+                        let role = self.attr("role").unwrap_or("outer").to_owned();
+                        members.push((r, role));
+                    }
                 }
-            } else {
-                self.skip_element(&child)?;
+                b"node" => {
+                    self.push_node(&child, &mut out.nodes)?;
+                    self.skip_element(&child);
+                }
+                b"way" => self.push_way(&child, out)?,
+                _ => self.skip_element(&child),
             }
         }
     }
@@ -526,9 +555,15 @@ mod tests {
 </osm>
 "#;
 
+    fn nodes_of(doc: &str) -> NodeTable {
+        collect_block(doc.as_bytes(), 0, doc.len())
+            .unwrap()
+            .node_table()
+    }
+
     #[test]
     fn collects_all_nodes() {
-        let nodes = collect_nodes(SAMPLE.as_bytes(), 0, SAMPLE.len()).unwrap();
+        let nodes = nodes_of(SAMPLE);
         assert_eq!(nodes.len(), 10);
         assert_eq!(nodes[&1], Point::new(0.0, 0.0));
         assert_eq!(nodes[&3], Point::new(1.0, 1.0), "lon is x, lat is y");
@@ -598,7 +633,7 @@ mod tests {
         let doc = r#"<?xml version="1.0"?>
 <!-- a comment with <node id="99" lat="9" lon="9"/> inside -->
 <osm><node id="1" lat="1.0" lon="2.0"/></osm>"#;
-        let nodes = collect_nodes(doc.as_bytes(), 0, doc.len()).unwrap();
+        let nodes = nodes_of(doc);
         assert_eq!(nodes.len(), 1);
         assert!(nodes.contains_key(&1));
     }
@@ -613,15 +648,71 @@ mod tests {
     }
 
     #[test]
+    fn one_pass_collects_every_element_kind() {
+        let block = collect_block(SAMPLE.as_bytes(), 0, SAMPLE.len()).unwrap();
+        assert_eq!(block.nodes.len(), 10);
+        assert_eq!(
+            block.ways.iter().map(|w| w.id).collect::<Vec<_>>(),
+            vec![100, 101, 102]
+        );
+        assert_eq!(block.ways[0].refs, vec![1, 2, 3, 4, 1]);
+        assert_eq!(
+            block.ways[0].tags,
+            vec![("building".to_owned(), "yes".to_owned())]
+        );
+        assert_eq!(block.relations.len(), 1);
+        assert_eq!(
+            block.relations[0].members,
+            vec![(100, "outer".to_owned()), (101, "inner".to_owned())]
+        );
+    }
+
+    #[test]
+    fn later_duplicate_node_ids_override_earlier_ones() {
+        let doc = r#"<osm>
+<node id="1" lat="0.0" lon="0.0"/>
+<node id="1" lat="3.0" lon="4.0"/>
+</osm>"#;
+        assert_eq!(nodes_of(doc)[&1], Point::new(4.0, 3.0));
+    }
+
+    #[test]
     fn block_partitioned_node_collection_merges() {
         let input = SAMPLE.as_bytes();
         let mid = input.len() / 2;
         // Align to a line boundary to split cleanly.
         let cut = crate::split::find_marker(input, b"\n", mid).unwrap() + 1;
-        let mut a = collect_nodes(input, 0, cut).unwrap();
-        let b = collect_nodes(input, cut, input.len()).unwrap();
-        a.extend(b);
-        let whole = collect_nodes(input, 0, input.len()).unwrap();
-        assert_eq!(a, whole);
+        let mut a = collect_block(input, 0, cut).unwrap();
+        a.append(collect_block(input, cut, input.len()).unwrap());
+        assert_eq!(a.node_table(), nodes_of(SAMPLE));
+    }
+
+    /// Every way of cutting SAMPLE at line boundaries into 1..=16
+    /// blocks collects, after concatenation, exactly what one
+    /// whole-input pass collects.
+    #[test]
+    fn every_newline_aligned_split_merges_to_the_whole() {
+        let input = SAMPLE.as_bytes();
+        let whole = collect_block(input, 0, input.len()).unwrap();
+        let cuts: Vec<usize> = (0..input.len() - 1)
+            .filter(|&i| input[i] == b'\n')
+            .map(|i| i + 1)
+            .collect();
+        assert!(cuts.len() >= 15);
+        for mask in 0u32..1 << cuts.len() {
+            if mask.count_ones() > 15 {
+                continue;
+            }
+            let mut merged = XmlBlock::default();
+            let mut start = 0;
+            for (bit, &cut) in cuts.iter().enumerate() {
+                if mask & (1 << bit) != 0 {
+                    merged.append(collect_block(input, start, cut).unwrap());
+                    start = cut;
+                }
+            }
+            merged.append(collect_block(input, start, input.len()).unwrap());
+            assert_eq!(merged, whole, "cut mask {mask:#b}");
+        }
     }
 }

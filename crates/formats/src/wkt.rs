@@ -14,8 +14,9 @@
 //!   input.
 
 use crate::feature::{MetadataFilter, RawFeature};
+use crate::points::parse_f64;
 use crate::split::{fixed_blocks, marker_blocks, Block};
-use crate::ParseError;
+use crate::{ParseError, MAX_NESTING};
 use atgis_geometry::{Geometry, LineString, MultiPolygon, Point, Polygon, Ring};
 
 /// Parses one `id \t WKT \t tags` row spanning `input[start..end]`
@@ -61,7 +62,7 @@ pub fn parse_row(
         pos: 0,
         base: start + (wkt_col.as_ptr() as usize - row.as_ptr() as usize),
     };
-    let geometry = cur.parse_geometry()?;
+    let geometry = cur.parse_geometry(1)?;
     Ok(Some(RawFeature {
         id,
         geometry,
@@ -122,9 +123,7 @@ impl<'a> WktCursor<'a> {
         if len == 0 {
             return Err(self.err("expected a number"));
         }
-        let v = rest[..len]
-            .parse::<f64>()
-            .map_err(|e| self.err(format!("bad number: {e}")))?;
+        let v = parse_f64(&rest[..len]).map_err(|e| self.err(format!("bad number: {e}")))?;
         self.pos += len;
         Ok(v)
     }
@@ -158,21 +157,38 @@ impl<'a> WktCursor<'a> {
         Ok(rings)
     }
 
-    fn parse_geometry(&mut self) -> Result<Geometry, ParseError> {
-        let kw = self.keyword().to_ascii_uppercase();
-        match kw.as_str() {
-            "POINT" => {
+    /// Parses a geometry, itself the `depth`-th level of
+    /// `GEOMETRYCOLLECTION` nesting.
+    fn parse_geometry(&mut self, depth: usize) -> Result<Geometry, ParseError> {
+        if depth > MAX_NESTING {
+            return Err(ParseError::TooDeep {
+                offset: (self.base + self.pos) as u64,
+            });
+        }
+        let kw = self.keyword();
+        // Upper-cased on the stack: no keyword is longer than this.
+        let mut upper = [0u8; "GEOMETRYCOLLECTION".len()];
+        let name: &[u8] = match upper.get_mut(..kw.len()) {
+            Some(u) => {
+                u.copy_from_slice(kw.as_bytes());
+                u.make_ascii_uppercase();
+                u
+            }
+            None => b"",
+        };
+        match name {
+            b"POINT" => {
                 self.expect('(')?;
                 let p = self.point()?;
                 self.expect(')')?;
                 Ok(Geometry::Point(p))
             }
-            "LINESTRING" => Ok(Geometry::LineString(LineString::new(self.point_list()?))),
-            "POLYGON" => {
+            b"LINESTRING" => Ok(Geometry::LineString(LineString::new(self.point_list()?))),
+            b"POLYGON" => {
                 let rings = self.ring_list()?;
                 Ok(Geometry::Polygon(rings_to_polygon(rings)))
             }
-            "MULTIPOLYGON" => {
+            b"MULTIPOLYGON" => {
                 self.expect('(')?;
                 let mut polys = vec![rings_to_polygon(self.ring_list()?)];
                 while self.eat(',') {
@@ -181,16 +197,16 @@ impl<'a> WktCursor<'a> {
                 self.expect(')')?;
                 Ok(Geometry::MultiPolygon(MultiPolygon::new(polys)))
             }
-            "GEOMETRYCOLLECTION" => {
+            b"GEOMETRYCOLLECTION" => {
                 self.expect('(')?;
-                let mut members = vec![self.parse_geometry()?];
+                let mut members = vec![self.parse_geometry(depth + 1)?];
                 while self.eat(',') {
-                    members.push(self.parse_geometry()?);
+                    members.push(self.parse_geometry(depth + 1)?);
                 }
                 self.expect(')')?;
                 Ok(Geometry::Collection(members))
             }
-            other => Err(self.err(format!("unknown WKT keyword {other:?}"))),
+            _ => Err(self.err(format!("unknown WKT keyword {:?}", kw.to_ascii_uppercase()))),
         }
     }
 }

@@ -103,3 +103,47 @@ fn cross_format_geometry_agreement() {
         assert_eq!(g.geometry, w.geometry);
     }
 }
+
+#[test]
+fn ids_above_two_to_the_53_round_trip_exactly() {
+    // 2^53 + 1: the first integer an f64 cannot hold.
+    let id: u64 = 9_007_199_254_740_993;
+    let geojson = format!(
+        r#"{{"type":"FeatureCollection","features":[{{"type":"Feature","geometry":{{"type":"Point","coordinates":[1.5,2.5]}},"id":{id},"properties":{{}}}}]}}"#
+    );
+    let wkt = format!("{id}\tPOINT(1.5 2.5)\t\n");
+    let ids = |input: &str, format, mode| -> Vec<u64> {
+        parse_all(input.as_bytes(), format, mode, &MetadataFilter::All)
+            .unwrap()
+            .iter()
+            .map(|f| f.id)
+            .collect()
+    };
+    let wkt_ids = ids(&wkt, Format::Wkt, Mode::Pat);
+    assert_eq!(wkt_ids, vec![id]);
+    assert_eq!(ids(&geojson, Format::GeoJson, Mode::Pat), wkt_ids, "PAT");
+    assert_eq!(ids(&geojson, Format::GeoJson, Mode::Fat), wkt_ids, "FAT");
+}
+
+#[test]
+fn osm_xml_block_splits_merge_to_the_whole_input() {
+    use atgis_formats::marker_blocks;
+    use atgis_formats::osmxml::{assemble, collect_block, XmlBlock};
+    let bytes = write_osm_xml(&OsmGenerator::new(7).generate(500));
+    let whole = collect_block(&bytes, 0, bytes.len()).unwrap();
+    let parsed = parse_all(&bytes, Format::OsmXml, Mode::Pat, &MetadataFilter::All).unwrap();
+    for n in 1..=16 {
+        let mut merged = XmlBlock::default();
+        for b in marker_blocks(&bytes, b"\n", n) {
+            merged.append(collect_block(&bytes, b.start, b.end).unwrap());
+        }
+        assert_eq!(merged, whole, "{n} blocks");
+        let features = assemble(
+            &merged.ways,
+            &merged.relations,
+            &merged.node_table(),
+            &MetadataFilter::All,
+        );
+        assert_eq!(features, parsed, "{n} blocks");
+    }
+}
