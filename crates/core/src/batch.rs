@@ -23,11 +23,15 @@
 //!    threshold-resolved sides, refine-stage perimeter bounds);
 //! 2. **scan** — one pass over the raw bytes with the
 //!    [`MultiSink`] prototype (the partition sink rides along when the
-//!    index is not already cached). The pass is either the buffered
-//!    `single_pass` over a materialised [`Dataset`] or the
-//!    **streaming scan** (`crate::stream::StreamingScan`) fed chunk
-//!    by chunk from a [`crate::stream::ChunkSource`] — both produce
-//!    the same finished sinks, bit-identically;
+//!    index is not already cached). Every pass runs the one scan
+//!    kernel in [`crate::pipeline`] (resolve the format's scan plan,
+//!    cut blocks, process each into a fragment, merge and finish);
+//!    only the driver differs: the buffered range scan over a
+//!    materialised [`Dataset`], the **streaming scan**
+//!    (`crate::stream::StreamingScan`) fed chunk by chunk from a
+//!    [`crate::stream::ChunkSource`], or one range scan per shard
+//!    under sharded scatter–gather — all produce the same finished
+//!    sinks, bit-identically;
 //! 3. **aggregate** — extract per-query results; join-class queries
 //!    fan out over a flattened (query × partition) job space
 //!    ([`crate::executor::run_grid_on`]) sharing the index and the
@@ -68,7 +72,7 @@ use crate::partition::{
 };
 use crate::persist::{self, Snapshot};
 use crate::pipeline::{
-    downcast_sink, AggregateSink, ContainmentAgg, FailedSink, MetricsAgg, MultiSink, QueryAggregate,
+    absorb_range, downcast_sink, AggregateSink, ContainmentAgg, FailedSink, MetricsAgg, MultiSink,
 };
 use crate::pool::{recover, JobFault};
 use crate::query::{Query, ScanClass};
@@ -439,13 +443,8 @@ impl QuerySession {
         format: Format,
         size_hint: Option<usize>,
     ) -> Result<Self> {
-        let cfg = engine.config();
-        let grid = GridSpec::new(cfg.grid_extent, cfg.cell_deg);
-        let sink: Box<dyn AggregateSink> = match cfg.store {
-            StoreKind::Array => Box::new(partition_proto::<ArrayStore>(grid, cfg)),
-            StoreKind::List => Box::new(partition_proto::<ListStore>(grid, cfg)),
-        };
-        let scan = StreamingScan::new(&engine, format, MultiSink::new(vec![sink]), size_hint)?;
+        let sink = partition_sink(engine.config());
+        let scan = StreamingScan::new(format, MultiSink::new(vec![sink]), size_hint)?;
         let dataset = Dataset::from_stream_buffer(scan.buffer().clone(), 0, format);
         Ok(QuerySession {
             engine,
@@ -525,7 +524,7 @@ impl QuerySession {
         // session masquerading as sealed over the truncated prefix:
         // mark it dead so later queries error instead of silently
         // serving partial data.
-        let (multi, dataset, _timings, stats) = match ingest.scan.seal(&self.engine) {
+        let (multi, dataset, _timings, stats) = match ingest.scan.seal(&self.engine, None) {
             Ok(sealed) => sealed,
             Err(e) => {
                 self.seal_failed = true;
@@ -536,8 +535,6 @@ impl QuerySession {
         // Any shard layout bounded the (shorter) streaming prefix;
         // rebuild on demand against the sealed dataset.
         recover(self.shard_sets.lock()).clear();
-        let cfg = self.engine.config();
-        let grid = GridSpec::new(cfg.grid_extent, cfg.cell_deg);
         let sink = multi
             .into_sinks()
             .pop()
@@ -549,34 +546,9 @@ impl QuerySession {
             self.seal_failed = true;
             return Err(Error::TaskPanicked(m.to_string()));
         }
-        let (store, map, refine) = match cfg.store {
-            StoreKind::Array => {
-                let agg: PartitionAgg<ArrayStore> = downcast_sink(sink);
-                let (s, m, r) = finish_index(cfg, grid, agg);
-                (IndexStore::Array(s), m, r)
-            }
-            StoreKind::List => {
-                let agg: PartitionAgg<ListStore> = downcast_sink(sink);
-                let (s, m, r) = finish_index(cfg, grid, agg);
-                (IndexStore::List(s), m, r)
-            }
-        };
-        let xml_table = if self.dataset.format() == Format::OsmXml {
-            Some(Arc::new(
-                self.engine.xml_geometry_table(&self.dataset, None)?,
-            ))
-        } else {
-            None
-        };
-        self.cache.insert(
-            index_key(cfg),
-            Arc::new(PartitionIndex {
-                store,
-                map,
-                refine,
-                xml_table,
-            }),
-        );
+        let index = seal_index(&self.engine, &self.dataset, sink, None)?;
+        self.cache
+            .insert(index_key(self.engine.config()), Arc::new(index));
         // The seal built the one artifact worth keeping; spill it so
         // the next process skips the parse entirely.
         self.write_through(1, Vec::new());
@@ -667,37 +639,63 @@ impl QuerySession {
     }
 }
 
-/// Builds the side-agnostic partition-pass prototype, so one index
-/// serves every join spec.
-fn partition_proto<S: PartitionStore + Clone>(
-    grid: GridSpec,
-    cfg: &EngineBuilder,
-) -> PartitionAgg<S> {
-    PartitionAgg {
-        grid,
-        store: S::new(grid.num_cells()),
-        entries: Vec::new(),
-        associative: cfg.partition_phase == PartitionPhase::Associative,
+/// The side-agnostic partition-pass sink for the engine's configured
+/// store and partition phase, so one index serves every join spec.
+fn partition_sink(cfg: &EngineBuilder) -> Box<dyn AggregateSink> {
+    let grid = GridSpec::new(cfg.grid_extent, cfg.cell_deg);
+    let associative = cfg.partition_phase == PartitionPhase::Associative;
+    let entries = Vec::new();
+    match cfg.store {
+        StoreKind::Array => Box::new(PartitionAgg {
+            grid,
+            store: ArrayStore::new(grid.num_cells()),
+            entries,
+            associative,
+        }),
+        StoreKind::List => Box::new(PartitionAgg {
+            grid,
+            store: ListStore::new(grid.num_cells()),
+            entries,
+            associative,
+        }),
     }
 }
 
-/// Finishes a partition sink into store + refined map (scattering the
-/// entry list first under the separate partition phase).
-fn finish_index<S: PartitionStore + Clone>(
-    cfg: &EngineBuilder,
-    grid: GridSpec,
-    mut agg: PartitionAgg<S>,
-) -> (S, PartitionMap, Duration) {
-    if cfg.partition_phase == PartitionPhase::Separate {
-        for e in std::mem::take(&mut agg.entries) {
-            for cell in grid.cells_for(&e.mbr) {
-                agg.store.push(cell, e);
-            }
+/// Seals a finished, untombstoned [`partition_sink`] into a
+/// [`PartitionIndex`]: store plus refined map and, for OSM XML, the
+/// offset→geometry table join re-parsing reads (one more XML parse,
+/// cached with the index so warm batches skip it too).
+fn seal_index(
+    engine: &Engine,
+    dataset: &Dataset,
+    sink: Box<dyn AggregateSink>,
+    token: Option<&CancelToken>,
+) -> Result<PartitionIndex> {
+    let cfg = engine.config();
+    let (store, map, refine) = match cfg.store {
+        StoreKind::Array => {
+            let (s, m, r) = downcast_sink::<PartitionAgg<ArrayStore>>(sink).seal(&cfg.adaptive);
+            (IndexStore::Array(s), m, r)
         }
-    }
-    let started = Instant::now();
-    let map = PartitionMap::adaptive(&grid, &agg.store, &cfg.adaptive);
-    (agg.store, map, started.elapsed())
+        StoreKind::List => {
+            let (s, m, r) = downcast_sink::<PartitionAgg<ListStore>>(sink).seal(&cfg.adaptive);
+            (IndexStore::List(s), m, r)
+        }
+    };
+    let xml_table = match dataset.format() {
+        Format::OsmXml => {
+            let (features, _) = engine.parse_xml(dataset, &MetadataFilter::All, token)?;
+            let table = features.into_iter().map(|f| (f.offset, f.geometry));
+            Some(Arc::new(table.collect()))
+        }
+        Format::GeoJson | Format::Wkt => None,
+    };
+    Ok(PartitionIndex {
+        store,
+        map,
+        refine,
+        xml_table,
+    })
 }
 
 /// Runs the flattened (query × partition) join fan-out: one shared
@@ -734,16 +732,16 @@ fn join_fan_out<S: PartitionStore + Sync>(
     )
 }
 
-/// Everything the scan step needs, prepared identically for the
-/// buffered and streamed paths: the compiled plan (with the partition
-/// sink already appended when an index must be built), the cache
-/// probe, and the grid. One preparation function so the two paths can
-/// never diverge on index keying or sink setup.
+/// Everything the scan and aggregate steps share, prepared
+/// identically for the buffered, streamed and sharded paths: the
+/// compiled plan (with the partition sink already appended when an
+/// index must be built) and the cache probe. One preparation function
+/// so the paths can never diverge on index keying or sink setup;
+/// [`finish_batch`] consumes it.
 struct ScanPrep {
     plan: BatchPlan,
     cached: Option<Arc<PartitionIndex>>,
     key: Option<IndexKey>,
-    grid: GridSpec,
     /// Sink count before the partition sink was (possibly) appended —
     /// the partition sink's position in the finished fan-out.
     single_pass_sinks: usize,
@@ -757,22 +755,13 @@ fn prepare_scan(engine: &Engine, queries: &[Query], cache: &IndexCache) -> ScanP
     let cached = key.as_ref().and_then(|k| cache.get(k));
     let build_index = needs_index && cached.is_none();
     let single_pass_sinks = plan.sinks.len();
-    let grid = GridSpec::new(cfg.grid_extent, cfg.cell_deg);
     if build_index {
-        match cfg.store {
-            StoreKind::Array => plan
-                .sinks
-                .push(Box::new(partition_proto::<ArrayStore>(grid, cfg))),
-            StoreKind::List => plan
-                .sinks
-                .push(Box::new(partition_proto::<ListStore>(grid, cfg))),
-        }
+        plan.sinks.push(partition_sink(cfg));
     }
     ScanPrep {
         plan,
         cached,
         key,
-        grid,
         single_pass_sinks,
     }
 }
@@ -806,27 +795,21 @@ pub(crate) fn execute_batch_impl(
     let mut finished: Vec<Option<Box<dyn AggregateSink>>> = Vec::new();
     if !prep.plan.sinks.is_empty() {
         let proto = MultiSink::new(std::mem::take(&mut prep.plan.sinks));
-        let (merged, t) =
-            engine.single_pass_cancellable(dataset, &MetadataFilter::All, proto, token)?;
+        let (merged, t) = engine.scan_range_cancellable(
+            dataset,
+            0,
+            dataset.len(),
+            &MetadataFilter::All,
+            proto,
+            token,
+        )?;
         finished = merged.into_sinks().into_iter().map(Some).collect();
         stats.scan_passes += 1;
         stats.shared_scan = t;
     }
 
     let results = finish_batch(
-        engine,
-        queries,
-        &prep.plan,
-        finished,
-        prep.single_pass_sinks,
-        prep.cached,
-        prep.key,
-        prep.grid,
-        dataset,
-        cache,
-        &mut stats,
-        token,
-        None,
+        engine, queries, prep, finished, dataset, cache, &mut stats, token, None,
     )?;
     Ok((results, stats))
 }
@@ -859,28 +842,16 @@ pub(crate) fn execute_streaming_batch_impl(
     // shared scan ----
     let mut prep = prepare_scan(engine, queries, cache);
     let proto = MultiSink::new(std::mem::take(&mut prep.plan.sinks));
-    let mut scan = StreamingScan::new(engine, format, proto, source.size_hint())?;
+    let mut scan = StreamingScan::new(format, proto, source.size_hint())?;
     drive(&mut scan, engine, source, token)?;
-    let (multi, dataset, timings, stream_stats) = scan.seal_cancellable(engine, token)?;
+    let (multi, dataset, timings, stream_stats) = scan.seal(engine, token)?;
     stats.scan_passes += 1;
     stats.shared_scan = timings;
     let finished: Vec<Option<Box<dyn AggregateSink>>> =
         multi.into_sinks().into_iter().map(Some).collect();
 
     let results = finish_batch(
-        engine,
-        queries,
-        &prep.plan,
-        finished,
-        prep.single_pass_sinks,
-        prep.cached,
-        prep.key,
-        prep.grid,
-        &dataset,
-        cache,
-        &mut stats,
-        token,
-        None,
+        engine, queries, prep, finished, &dataset, cache, &mut stats, token, None,
     )?;
     Ok((results, stats, stream_stats))
 }
@@ -981,7 +952,6 @@ pub(crate) fn execute_sharded_impl(
         None
     };
     let mut scanned = xml_features.is_some();
-    let cfg = engine.config();
     for (s, shard) in set.shards().iter().enumerate() {
         // Members scattered to this shard, as positions in `finished`.
         let mut members: Vec<usize> = (0..prep.single_pass_sinks)
@@ -1003,10 +973,7 @@ pub(crate) fn execute_sharded_impl(
                     Box::new(FailedSink::new("taken")),
                 ));
             } else {
-                shard_sinks.push(match cfg.store {
-                    StoreKind::Array => Box::new(partition_proto::<ArrayStore>(prep.grid, cfg)),
-                    StoreKind::List => Box::new(partition_proto::<ListStore>(prep.grid, cfg)),
-                });
+                shard_sinks.push(partition_sink(engine.config()));
             }
         }
         let proto = MultiSink::new(shard_sinks);
@@ -1029,20 +996,16 @@ pub(crate) fn execute_sharded_impl(
             Some(features) => {
                 let started = Instant::now();
                 let mut sink = proto;
-                for f in features {
-                    if (shard.start as u64) <= f.offset && f.offset < (shard.end as u64) {
-                        QueryAggregate::absorb(&mut sink, f);
-                    }
-                }
+                absorb_range(&mut sink, features, shard.start, shard.end);
                 if let Some(t) = shard_token.as_ref() {
                     t.check()?;
                 }
+                let process = started.elapsed();
                 Ok((
                     sink,
                     Timings {
-                        split: Duration::ZERO,
-                        process: started.elapsed(),
-                        merge: Duration::ZERO,
+                        process,
+                        ..Timings::default()
                     },
                 ))
             }
@@ -1089,12 +1052,8 @@ pub(crate) fn execute_sharded_impl(
     let results = finish_batch(
         engine,
         queries,
-        &prep.plan,
+        prep,
         finished,
-        prep.single_pass_sinks,
-        prep.cached,
-        prep.key,
-        prep.grid,
         dataset,
         cache,
         &mut stats,
@@ -1104,10 +1063,10 @@ pub(crate) fn execute_sharded_impl(
     Ok((results, stats))
 }
 
-/// The aggregate step shared by the buffered and streamed scan paths:
-/// build/fetch the partition index, extract single-pass results, run
-/// the flattened join fan-out. Per-query fault isolation happens
-/// here: a member sink that panicked mid-scan (now a
+/// The aggregate step shared by the buffered, streamed and sharded
+/// scan paths: build/fetch the partition index, extract single-pass
+/// results, run the flattened join fan-out. Per-query fault isolation
+/// happens here: a member sink that panicked mid-scan (now a
 /// [`AggregateSink::panic_message`] tombstone) turns into that
 /// query's `Err(`[`QueryError::Panicked`]`)` — its batch mates'
 /// results are extracted normally.
@@ -1115,18 +1074,15 @@ pub(crate) fn execute_sharded_impl(
 fn finish_batch(
     engine: &Engine,
     queries: &[Query],
-    plan: &BatchPlan,
+    prep: ScanPrep,
     mut finished: Vec<Option<Box<dyn AggregateSink>>>,
-    single_pass_sinks: usize,
-    cached: Option<Arc<PartitionIndex>>,
-    key: Option<IndexKey>,
-    grid: GridSpec,
     dataset: &Dataset,
     cache: &IndexCache,
     stats: &mut BatchStats,
     token: Option<&CancelToken>,
     shard_set: Option<&ShardSet>,
 ) -> Result<Vec<std::result::Result<QueryResult, QueryError>>> {
+    let plan = &prep.plan;
     let cfg = engine.config();
     let needs_index = !plan.join_specs.is_empty();
     let scan_total = stats.shared_scan.total();
@@ -1135,11 +1091,11 @@ fn finish_batch(
 
     // ---- aggregate: partition index ----
     let index: Option<Arc<PartitionIndex>> = if needs_index {
-        let index = match cached {
+        let index = match prep.cached {
             Some(i) => Some(i),
             None => 'build: {
                 let sink = finished
-                    .get_mut(single_pass_sinks)
+                    .get_mut(prep.single_pass_sinks)
                     .and_then(Option::take)
                     .expect("the partition sink rode the scan");
                 // The shared partition sink serves every join-class
@@ -1158,35 +1114,12 @@ fn finish_batch(
                     }
                     return Err(Error::TaskPanicked(m.to_string()));
                 }
-                let (store, map, refine) = match cfg.store {
-                    StoreKind::Array => {
-                        let agg: PartitionAgg<ArrayStore> = downcast_sink(sink);
-                        let (s, m, r) = finish_index(cfg, grid, agg);
-                        (IndexStore::Array(s), m, r)
-                    }
-                    StoreKind::List => {
-                        let agg: PartitionAgg<ListStore> = downcast_sink(sink);
-                        let (s, m, r) = finish_index(cfg, grid, agg);
-                        (IndexStore::List(s), m, r)
-                    }
-                };
-                // XML joins re-parse through the node table; build it
-                // once and cache it with the index, so warm batches
-                // skip this pass along with the partition pass.
-                let xml_table = if dataset.format() == Format::OsmXml {
-                    stats.scan_passes += 1;
-                    Some(Arc::new(engine.xml_geometry_table(dataset, token)?))
-                } else {
-                    None
-                };
-                let built = Arc::new(PartitionIndex {
-                    store,
-                    map,
-                    refine,
-                    xml_table,
-                });
+                if dataset.format() == Format::OsmXml {
+                    stats.scan_passes += 1; // the geometry table's parse
+                }
+                let built = Arc::new(seal_index(engine, dataset, sink, token)?);
                 cache.insert(
-                    key.expect("key exists when an index is needed"),
+                    prep.key.expect("key exists when an index is needed"),
                     built.clone(),
                 );
                 Some(built)
@@ -1591,7 +1524,7 @@ mod tests {
         let mut prep = prepare_scan(&engine, &queries, &cache);
         let proto = MultiSink::new(std::mem::take(&mut prep.plan.sinks));
         let (merged, t) = engine
-            .single_pass_cancellable(&ds, &MetadataFilter::All, proto, None)
+            .scan_range_cancellable(&ds, 0, ds.len(), &MetadataFilter::All, proto, None)
             .unwrap();
         let mut finished: Vec<Option<Box<dyn AggregateSink>>> =
             merged.into_sinks().into_iter().map(Some).collect();
@@ -1604,19 +1537,7 @@ mod tests {
             shards: None,
         };
         let results = finish_batch(
-            &engine,
-            &queries,
-            &prep.plan,
-            finished,
-            prep.single_pass_sinks,
-            prep.cached,
-            prep.key,
-            prep.grid,
-            &ds,
-            &cache,
-            &mut stats,
-            None,
-            None,
+            &engine, &queries, prep, finished, &ds, &cache, &mut stats, None, None,
         )
         .unwrap();
         assert_eq!(results[0].as_ref().unwrap(), &solo[0]);

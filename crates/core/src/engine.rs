@@ -6,18 +6,18 @@ use crate::dataset::Dataset;
 use crate::exec::{self, ExecOptions, RunOutcome};
 use crate::executor::{resolve_threads, run_blocks_on};
 use crate::join::{ProbeStrategy, Reparser};
-use crate::partition::{AdaptiveConfig, GridSpec, PartEntry, PartitionStore};
-use crate::pipeline::{FatGeoJsonFrag, FatWktFrag, QueryAggregate};
+use crate::partition::{AdaptiveConfig, GridSpec, PartEntry, PartitionMap, PartitionStore};
+use crate::pipeline::{absorb_range, QueryAggregate, ScanFrag, ScanPlan};
 use crate::pool::WorkerPool;
 use crate::query::{FilterStrategy, Query};
 use crate::stats::Timings;
 use crate::{Error, Result};
 use atgis_formats::feature::{MetadataFilter, RawFeature};
-use atgis_formats::{fixed_blocks, marker_blocks, Format, Mode, ParseError};
+use atgis_formats::{Format, Mode, ParseError};
 use atgis_geometry::{Geometry, Mbr, Polygon};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Which data structure holds partitions (§4.4 / Fig. 15).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -363,51 +363,28 @@ impl Engine {
         filter: &MetadataFilter,
         proto: A,
     ) -> Result<(A, Timings)> {
-        self.single_pass_cancellable(dataset, filter, proto, None)
+        self.scan_range_cancellable(dataset, 0, dataset.len(), filter, proto, None)
     }
 
-    /// [`Engine::single_pass`] under an optional [`CancelToken`]: the
-    /// token is observed between blocks (a tripped token skips every
-    /// not-yet-started block and the pass returns
+    /// The buffered scan of the byte range `[start, end)` of `dataset`
+    /// (the whole dataset, or one shard): a driver over the scan kernel
+    /// in [`crate::pipeline`] that cuts `threads × block_multiplier`
+    /// blocks and runs them on the worker pool. Blocks carry
+    /// **absolute** offsets, so features keep their global identity
+    /// (offset/len) and results over marker-aligned ranges compose
+    /// bit-identically with a whole-dataset scan. `Adaptive` mode
+    /// resolves on the whole dataset, so every shard scans in the mode
+    /// a single-node pass would. OSM XML (whose relations need the
+    /// global node table) parses the full document and absorbs only
+    /// the features whose offset falls in the range; sharded batch
+    /// execution parses once and buckets instead of calling this per
+    /// shard.
+    ///
+    /// The `token` is observed between blocks (a tripped token skips
+    /// every not-yet-started block and the scan returns
     /// [`Error::Cancelled`] / [`Error::DeadlineExceeded`]), and a
-    /// panicking aggregate fails only this pass
+    /// panicking aggregate fails only this scan
     /// ([`Error::TaskPanicked`]) — the pool survives.
-    pub fn single_pass_cancellable<A: QueryAggregate>(
-        &self,
-        dataset: &Dataset,
-        filter: &MetadataFilter,
-        proto: A,
-        token: Option<&CancelToken>,
-    ) -> Result<(A, Timings)> {
-        self.scan_range_cancellable(dataset, 0, dataset.bytes().len(), filter, proto, token)
-    }
-
-    /// The execution mode a scan of `dataset` resolves to: `Adaptive`
-    /// picks Pat/Fat from the full input's marker density, so every
-    /// byte-range shard of one dataset scans in the same mode as a
-    /// single-node pass.
-    pub(crate) fn resolve_mode(&self, dataset: &Dataset) -> Mode {
-        match self.config.mode {
-            Mode::Adaptive => {
-                let marker: &[u8] = match dataset.format() {
-                    Format::GeoJson => atgis_formats::geojson::FEATURE_MARKER,
-                    _ => b"\n",
-                };
-                atgis_formats::resolve_adaptive(dataset.bytes(), marker, self.block_count())
-            }
-            m => m,
-        }
-    }
-
-    /// [`Engine::single_pass_cancellable`] restricted to the byte
-    /// range `[start, end)` — the shard scan primitive. Blocks are
-    /// split within the range but carry **absolute** offsets, so
-    /// features keep their global identity (offset/len) and results
-    /// over marker-aligned ranges compose bit-identically with
-    /// single-node execution. OSM XML (whose relations need the global
-    /// node table) parses the full document and absorbs only features
-    /// whose offset falls in the range; sharded batch execution parses
-    /// once and buckets instead of calling this per shard.
     pub(crate) fn scan_range_cancellable<A: QueryAggregate>(
         &self,
         dataset: &Dataset,
@@ -418,134 +395,36 @@ impl Engine {
         token: Option<&CancelToken>,
     ) -> Result<(A, Timings)> {
         let input = dataset.bytes();
-        let slice = &input[start..end];
-        let threads = self.config.threads;
+        let format = dataset.format();
         let n = self.block_count();
-        let shift = |mut blocks: Vec<atgis_formats::Block>| {
-            if start > 0 {
-                for b in &mut blocks {
-                    b.start += start;
-                    b.end += start;
-                }
-            }
-            blocks
-        };
-        let mode = self.resolve_mode(dataset);
-        match (dataset.format(), mode) {
-            (Format::GeoJson, Mode::Pat) => {
-                let started = Instant::now();
-                let blocks = shift(marker_blocks(
-                    slice,
-                    atgis_formats::geojson::FEATURE_MARKER,
-                    n,
-                ));
-                let split = started.elapsed();
-                let (merged, mut t) = run_blocks_on(
-                    &self.pool,
-                    &blocks,
-                    threads,
-                    token,
-                    |b| {
-                        let mut features = Vec::new();
-                        atgis_formats::geojson::fast::parse_block(
-                            input,
-                            b.start,
-                            b.end,
-                            filter,
-                            &mut features,
-                        )?;
-                        let mut a = proto.clone();
-                        for f in &features {
-                            a.absorb(f);
-                        }
-                        Ok::<_, Error>(a)
-                    },
-                    |a, b| Ok(a.combine(b)),
-                );
-                t.split = split;
-                Ok((merged?.unwrap_or(proto), t))
-            }
-            (Format::GeoJson, _) => {
-                let started = Instant::now();
-                let blocks = shift(fixed_blocks(slice.len(), n));
-                let split = started.elapsed();
-                let (merged, mut t) = run_blocks_on(
-                    &self.pool,
-                    &blocks,
-                    threads,
-                    token,
-                    |b| FatGeoJsonFrag::process(input, b, filter, &proto).map_err(Error::Parse),
-                    |a, b| a.merge(b, input, filter).map_err(Error::Parse),
-                );
-                t.split = split;
-                let started = Instant::now();
-                let agg = match merged? {
-                    Some(m) => m.finalize(input, filter)?,
-                    None => proto,
-                };
-                t.merge += started.elapsed();
-                Ok((agg, t))
-            }
-            (Format::Wkt, Mode::Pat) => {
-                let started = Instant::now();
-                let blocks = shift(marker_blocks(slice, b"\n", n));
-                let split = started.elapsed();
-                let (merged, mut t) = run_blocks_on(
-                    &self.pool,
-                    &blocks,
-                    threads,
-                    token,
-                    |b| {
-                        let mut a = proto.clone();
-                        let mut features = Vec::new();
-                        // Rows starting within the block.
-                        parse_wkt_rows(input, b.start, b.end, filter, &mut features)?;
-                        for f in &features {
-                            a.absorb(f);
-                        }
-                        Ok::<_, Error>(a)
-                    },
-                    |a, b| Ok(a.combine(b)),
-                );
-                t.split = split;
-                Ok((merged?.unwrap_or(proto), t))
-            }
-            (Format::Wkt, _) => {
-                let started = Instant::now();
-                let blocks = shift(fixed_blocks(slice.len(), n));
-                let split = started.elapsed();
-                let (merged, mut t) = run_blocks_on(
-                    &self.pool,
-                    &blocks,
-                    threads,
-                    token,
-                    |b| FatWktFrag::process(input, b, filter, &proto).map_err(Error::Parse),
-                    |a, b| a.merge(b, input, filter).map_err(Error::Parse),
-                );
-                t.split = split;
-                let started = Instant::now();
-                let agg = match merged? {
-                    Some(m) => m.finalize(input, filter)?,
-                    None => proto,
-                };
-                t.merge += started.elapsed();
-                Ok((agg, t))
-            }
-            (Format::OsmXml, _) => {
-                let (features, t) = self.parse_xml(dataset, filter, token)?;
-                let started = Instant::now();
-                let whole = start == 0 && end == input.len();
-                let mut a = proto;
-                for f in &features {
-                    if whole || ((start as u64) <= f.offset && f.offset < end as u64) {
-                        a.absorb(f);
-                    }
-                }
-                let mut t = t;
-                t.merge += started.elapsed();
-                Ok((a, t))
-            }
+        let plan = ScanPlan::resolve(format, self.config.mode, input, n);
+        if plan == ScanPlan::Xml {
+            let (features, mut t) = self.parse_xml(dataset, filter, token)?;
+            let started = Instant::now();
+            let mut agg = proto;
+            absorb_range(&mut agg, &features, start, end);
+            t.merge += started.elapsed();
+            return Ok((agg, t));
         }
+        let started = Instant::now();
+        let blocks = plan.blocks(format, input, start, end, n);
+        let split = started.elapsed();
+        let (merged, mut t) = run_blocks_on(
+            &self.pool,
+            &blocks,
+            self.config.threads,
+            token,
+            |b| ScanFrag::process(plan, format, input, b, filter, &proto).map_err(Error::Parse),
+            |a, b| a.merge(b, input, filter).map_err(Error::Parse),
+        );
+        t.split = split;
+        let started = Instant::now();
+        let agg = match merged? {
+            Some(frag) => frag.finish(input, filter)?,
+            None => proto,
+        };
+        t.merge += started.elapsed();
+        Ok((agg, t))
     }
 
     /// The XML parse (§4.4): one block-parallel collection pass
@@ -560,7 +439,8 @@ impl Engine {
         use atgis_formats::osmxml;
         let input = dataset.bytes();
         let started = Instant::now();
-        let blocks = marker_blocks(input, b"\n", self.block_count());
+        let blocks =
+            ScanPlan::Xml.blocks(Format::OsmXml, input, 0, input.len(), self.block_count());
         let split = started.elapsed();
 
         let (collected, mut t) = run_blocks_on(
@@ -586,18 +466,6 @@ impl Engine {
         t.split = split;
         t.merge += started.elapsed();
         Ok((features, t))
-    }
-
-    pub(crate) fn xml_geometry_table(
-        &self,
-        dataset: &Dataset,
-        token: Option<&CancelToken>,
-    ) -> Result<HashMap<u64, Geometry>> {
-        let (features, _) = self.parse_xml(dataset, &MetadataFilter::All, token)?;
-        Ok(features
-            .into_iter()
-            .map(|f| (f.offset, f.geometry))
-            .collect())
     }
 }
 
@@ -647,31 +515,6 @@ pub(crate) fn make_reparser<'a>(
     }
 }
 
-/// WKT PAT row parsing helper (rows starting within `[start, end)`).
-pub(crate) fn parse_wkt_rows(
-    input: &[u8],
-    start: usize,
-    end: usize,
-    filter: &MetadataFilter,
-    out: &mut Vec<RawFeature>,
-) -> std::result::Result<(), ParseError> {
-    let mut pos = start;
-    while pos < end {
-        while pos < end && input[pos] == b'\n' {
-            pos += 1;
-        }
-        if pos >= end {
-            break;
-        }
-        let row_end = atgis_formats::split::find_marker(input, b"\n", pos).unwrap_or(input.len());
-        if let Some(f) = atgis_formats::wkt::parse_row(input, pos, row_end, filter)? {
-            out.push(f);
-        }
-        pos = row_end + 1;
-    }
-    Ok(())
-}
-
 /// The join partition pass's aggregate: bounds geometries and
 /// partitions them (associatively, or collecting entries for a
 /// separate phase) into one side-agnostic index shared by every join
@@ -683,6 +526,22 @@ pub(crate) struct PartitionAgg<S: PartitionStore + Clone> {
     pub(crate) store: S,
     pub(crate) entries: Vec<PartEntry>,
     pub(crate) associative: bool,
+}
+
+impl<S: PartitionStore + Clone> PartitionAgg<S> {
+    /// Seals the finished pass into its store plus the skew-refined
+    /// map, scattering the entry list into the store first under the
+    /// separate partition phase. The duration is the map refinement's.
+    pub(crate) fn seal(mut self, adaptive: &AdaptiveConfig) -> (S, PartitionMap, Duration) {
+        for e in std::mem::take(&mut self.entries) {
+            for cell in self.grid.cells_for(&e.mbr) {
+                self.store.push(cell, e);
+            }
+        }
+        let started = Instant::now();
+        let map = PartitionMap::adaptive(&self.grid, &self.store, adaptive);
+        (self.store, map, started.elapsed())
+    }
 }
 
 impl<S: PartitionStore + Clone> QueryAggregate for PartitionAgg<S> {

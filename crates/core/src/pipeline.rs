@@ -7,6 +7,15 @@
 //! them and combines associatively, so feature buffers never span the
 //! whole input. In FAT mode one aggregate is kept per speculated lexer
 //! start state, mirroring the paper's predicated tapes.
+//!
+//! This module is also the scan kernel: the one place where a byte
+//! range of a format, scanned in a mode, becomes an aggregate. A scan
+//! resolves a `ScanPlan` (PAT, FAT or whole-document XML), cuts its
+//! range into blocks (§4.1, Fig. 5), processes each block into a
+//! `ScanFrag` and merges the fragments associatively before finishing
+//! them (§3.2). The buffered scan, the streamed scan and the shard
+//! scans are drivers over it that differ only in how many blocks they
+//! cut and when.
 
 use crate::exact::ExactSum;
 use crate::query::{FilterStrategy, Metric};
@@ -14,7 +23,7 @@ use crate::result::{AggregateValues, MatchRecord};
 use atgis_formats::feature::{MetadataFilter, RawFeature};
 use atgis_formats::geojson::fat::BlockFragment;
 use atgis_formats::wkt::WktFragment;
-use atgis_formats::{Block, ParseError};
+use atgis_formats::{fixed_blocks, marker_blocks, Block, Format, Mode, ParseError};
 use atgis_geometry::relate::intersects;
 use atgis_geometry::{measures, DistanceModel, Geometry, Polygon};
 use std::any::Any;
@@ -130,9 +139,8 @@ impl AggregateSink for FailedSink {
 /// aggregate that dispatches every completed feature to N per-query
 /// member sinks and combines member-wise. Because it implements
 /// [`QueryAggregate`], it flows through every existing execution path
-/// unchanged — PAT block scans, the speculated FAT fragments
-/// ([`FatGeoJsonFrag`] / [`FatWktFrag`]) and the parallel tree merge —
-/// so one parse pass serves every member query.
+/// unchanged — PAT block scans, the speculated FAT fragments and the
+/// parallel tree merge — so one parse pass serves every member query.
 ///
 /// Member order is the fan-out contract: `combine` zips positionally,
 /// so member `i` sees exactly the absorb/combine sequence it would
@@ -393,7 +401,7 @@ impl QueryAggregate for MetricsAgg {
 /// one downstream aggregate per speculated lexer start state (§3.2's
 /// "the first transducer now stores a predicated set of fragments
 /// from the second transducer").
-pub struct FatGeoJsonFrag<A: QueryAggregate> {
+pub(crate) struct FatGeoJsonFrag<A: QueryAggregate> {
     parse: BlockFragment,
     /// `(lexer start state, aggregate)` pairs.
     aggs: Vec<(u8, A)>,
@@ -477,7 +485,7 @@ impl<A: QueryAggregate> FatGeoJsonFrag<A> {
 }
 
 /// The FAT WKT pipeline fragment (no speculation — a single chain).
-pub struct FatWktFrag<A: QueryAggregate> {
+pub(crate) struct FatWktFrag<A: QueryAggregate> {
     parse: WktFragment,
     agg: A,
 }
@@ -526,10 +534,162 @@ impl<A: QueryAggregate> FatWktFrag<A> {
     }
 }
 
+/// How a scan turns its byte range into blocks and each block into a
+/// [`ScanFrag`]: the resolved (format, mode) pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ScanPlan {
+    /// Blocks start at record markers and parse block-locally straight
+    /// into the aggregate.
+    Pat,
+    /// Blocks start anywhere and parse speculatively into fragments
+    /// whose edges resolve at merge.
+    Fat,
+    /// OSM XML: relations need the global node table, so the whole
+    /// document parses once and a range absorbs its own features
+    /// ([`absorb_range`]).
+    Xml,
+}
+
+impl ScanPlan {
+    /// The plan for `format` under the configured `mode`, with
+    /// `Adaptive` resolved from the marker density of `seen` (the whole
+    /// input for buffered and shard scans, the bytes ingested so far
+    /// for a stream) for `want_blocks` blocks.
+    pub(crate) fn resolve(format: Format, mode: Mode, seen: &[u8], want_blocks: usize) -> Self {
+        if format == Format::OsmXml {
+            return ScanPlan::Xml;
+        }
+        match format.resolve_mode(mode, seen, want_blocks) {
+            Mode::Fat => ScanPlan::Fat,
+            _ => ScanPlan::Pat,
+        }
+    }
+
+    /// Cuts `input[start..end]` into at most `n` blocks that tile it
+    /// exactly, with **absolute** offsets so features keep their global
+    /// identity: at record markers for PAT (and XML's collection pass),
+    /// at arbitrary offsets for FAT. An empty range yields one empty
+    /// block.
+    pub(crate) fn blocks(
+        self,
+        format: Format,
+        input: &[u8],
+        start: usize,
+        end: usize,
+        n: usize,
+    ) -> Vec<Block> {
+        let mut blocks = match self {
+            ScanPlan::Fat => fixed_blocks(end - start, n),
+            ScanPlan::Pat | ScanPlan::Xml => {
+                marker_blocks(&input[start..end], format.record_marker(), n)
+            }
+        };
+        for b in &mut blocks {
+            b.start += start;
+            b.end += start;
+        }
+        blocks
+    }
+}
+
+/// One block's (or one merged run of blocks') scan result: the
+/// aggregate itself for PAT, or a FAT parse fragment still carrying
+/// unresolved block edges. Produced by [`ScanFrag::process`], combined
+/// by [`ScanFrag::merge`] in block order, resolved by
+/// [`ScanFrag::finish`].
+pub(crate) enum ScanFrag<A: QueryAggregate> {
+    /// A PAT block's aggregate.
+    Pat(A),
+    /// A FAT GeoJSON fragment.
+    FatGeoJson(Box<FatGeoJsonFrag<A>>),
+    /// A FAT WKT fragment.
+    FatWkt(Box<FatWktFrag<A>>),
+}
+
+impl<A: QueryAggregate> ScanFrag<A> {
+    /// Parses `block` of `input` under `plan` and absorbs its completed
+    /// features into a clone of `proto`.
+    pub(crate) fn process(
+        plan: ScanPlan,
+        format: Format,
+        input: &[u8],
+        block: Block,
+        filter: &MetadataFilter,
+        proto: &A,
+    ) -> Result<Self, ParseError> {
+        let parse_pat = match (plan, format) {
+            (ScanPlan::Xml, _) | (_, Format::OsmXml) => {
+                unreachable!("OSM XML parses the whole document, never blocks")
+            }
+            (ScanPlan::Pat, Format::GeoJson) => atgis_formats::geojson::fast::parse_block,
+            (ScanPlan::Pat, Format::Wkt) => atgis_formats::wkt::parse_block,
+            (ScanPlan::Fat, Format::GeoJson) => {
+                return FatGeoJsonFrag::process(input, block, filter, proto)
+                    .map(|f| ScanFrag::FatGeoJson(Box::new(f)))
+            }
+            (ScanPlan::Fat, Format::Wkt) => {
+                return FatWktFrag::process(input, block, filter, proto)
+                    .map(|f| ScanFrag::FatWkt(Box::new(f)))
+            }
+        };
+        let mut features = Vec::new();
+        parse_pat(input, block.start, block.end, filter, &mut features)?;
+        let mut agg = proto.clone();
+        for f in &features {
+            agg.absorb(f);
+        }
+        Ok(ScanFrag::Pat(agg))
+    }
+
+    /// Associative merge; `self` covers the bytes just before `other`.
+    pub(crate) fn merge(
+        self,
+        other: Self,
+        input: &[u8],
+        filter: &MetadataFilter,
+    ) -> Result<Self, ParseError> {
+        Ok(match (self, other) {
+            (ScanFrag::Pat(a), ScanFrag::Pat(b)) => ScanFrag::Pat(a.combine(b)),
+            (ScanFrag::FatGeoJson(a), ScanFrag::FatGeoJson(b)) => {
+                ScanFrag::FatGeoJson(Box::new(a.merge(*b, input, filter)?))
+            }
+            (ScanFrag::FatWkt(a), ScanFrag::FatWkt(b)) => {
+                ScanFrag::FatWkt(Box::new(a.merge(*b, input, filter)?))
+            }
+            _ => unreachable!("one plan per scan"),
+        })
+    }
+
+    /// Resolves the fragment's remaining edges (FAT speculation, the
+    /// first and last partial records) into the finished aggregate.
+    pub(crate) fn finish(self, input: &[u8], filter: &MetadataFilter) -> Result<A, ParseError> {
+        match self {
+            ScanFrag::Pat(a) => Ok(a),
+            ScanFrag::FatGeoJson(f) => f.finalize(input, filter),
+            ScanFrag::FatWkt(f) => f.finalize(input, filter),
+        }
+    }
+}
+
+/// Absorbs into `agg` the features of a whole-document parse whose
+/// offset lies in `[start, end)` — how a byte range of an OSM XML
+/// dataset becomes an aggregate.
+pub(crate) fn absorb_range<A: QueryAggregate>(
+    agg: &mut A,
+    features: &[RawFeature],
+    start: usize,
+    end: usize,
+) {
+    for f in features {
+        if (start as u64) <= f.offset && f.offset < end as u64 {
+            agg.absorb(f);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atgis_formats::fixed_blocks;
     use atgis_geometry::Mbr;
     use std::sync::Arc;
 
@@ -739,44 +899,132 @@ mod tests {
 
     #[test]
     fn fat_geojson_pipeline_matches_direct_parse() {
-        let ds = atgis_datagen::OsmGenerator::new(77).generate(60);
-        let input = atgis_datagen::write_geojson(&ds);
-        let filter = MetadataFilter::All;
-        let reg = Arc::new(Polygon::from_mbr(&Mbr::new(-180.0, -90.0, 180.0, 90.0)));
-        let proto = ContainmentAgg::new(reg);
-
-        for blocks in [1, 3, 9] {
-            let mut merged: Option<FatGeoJsonFrag<ContainmentAgg>> = None;
-            for b in fixed_blocks(input.len(), blocks) {
-                let f = FatGeoJsonFrag::process(&input, b, &filter, &proto).unwrap();
-                merged = Some(match merged {
-                    None => f,
-                    Some(acc) => acc.merge(f, &input, &filter).unwrap(),
-                });
-            }
-            let agg = merged.unwrap().finalize(&input, &filter).unwrap();
-            assert_eq!(agg.matches.len(), 60, "blocks={blocks}");
+        let input =
+            atgis_datagen::write_geojson(&atgis_datagen::OsmGenerator::new(77).generate(60));
+        for n in [1, 3, 9] {
+            let blocks = fixed_blocks(input.len(), n);
+            let matches = scan_blocks(ScanPlan::Fat, Format::GeoJson, &input, &blocks);
+            assert_eq!(matches.len(), 60, "blocks={n}");
         }
     }
 
     #[test]
     fn fat_wkt_pipeline_matches_direct_parse() {
-        let ds = atgis_datagen::OsmGenerator::new(78).generate(40);
-        let input = atgis_datagen::write_wkt(&ds);
-        let filter = MetadataFilter::All;
-        let reg = Arc::new(Polygon::from_mbr(&Mbr::new(-180.0, -90.0, 180.0, 90.0)));
-        let proto = ContainmentAgg::new(reg);
-        for blocks in [1, 4, 11] {
-            let mut merged: Option<FatWktFrag<ContainmentAgg>> = None;
-            for b in fixed_blocks(input.len(), blocks) {
-                let f = FatWktFrag::process(&input, b, &filter, &proto).unwrap();
-                merged = Some(match merged {
-                    None => f,
-                    Some(acc) => acc.merge(f, &input, &filter).unwrap(),
-                });
-            }
-            let agg = merged.unwrap().finalize(&input, &filter).unwrap();
-            assert_eq!(agg.matches.len(), 40, "blocks={blocks}");
+        let input = atgis_datagen::write_wkt(&atgis_datagen::OsmGenerator::new(78).generate(40));
+        for n in [1, 4, 11] {
+            let blocks = fixed_blocks(input.len(), n);
+            let matches = scan_blocks(ScanPlan::Fat, Format::Wkt, &input, &blocks);
+            assert_eq!(matches.len(), 40, "blocks={n}");
         }
+    }
+
+    /// Folds `blocks` in order through the scan kernel, as a one-worker
+    /// scan would, with a whole-world containment aggregate.
+    fn scan_blocks(
+        plan: ScanPlan,
+        format: Format,
+        input: &[u8],
+        blocks: &[Block],
+    ) -> Vec<MatchRecord> {
+        let filter = MetadataFilter::All;
+        let world = Polygon::from_mbr(&Mbr::new(-180.0, -90.0, 180.0, 90.0));
+        let proto = ContainmentAgg::new(Arc::new(world));
+        let mut acc: Option<ScanFrag<ContainmentAgg>> = None;
+        for &b in blocks {
+            let f = ScanFrag::process(plan, format, input, b, &filter, &proto).unwrap();
+            acc = Some(match acc {
+                None => f,
+                Some(a) => a.merge(f, input, &filter).unwrap(),
+            });
+        }
+        acc.unwrap().finish(input, &filter).unwrap().matches
+    }
+
+    #[test]
+    fn scan_plan_blocks_tile_a_mid_dataset_range_with_absolute_offsets() {
+        let ds = atgis_datagen::OsmGenerator::new(79).generate(80);
+        for (format, input) in [
+            (Format::GeoJson, atgis_datagen::write_geojson(&ds)),
+            (Format::Wkt, atgis_datagen::write_wkt(&ds)),
+        ] {
+            let marker = format.record_marker();
+            // The second of four marker-aligned shards: a range that
+            // neither starts nor ends at the input's edges.
+            let Block { start, end, .. } = marker_blocks(&input, marker, 4)[1];
+            assert!(0 < start && end < input.len(), "{format:?}");
+            let whole = Block {
+                index: 0,
+                start: 0,
+                end: input.len(),
+            };
+            let expected: Vec<MatchRecord> = scan_blocks(ScanPlan::Pat, format, &input, &[whole])
+                .into_iter()
+                .filter(|m| start as u64 <= m.offset && m.offset < end as u64)
+                .collect();
+            assert!(!expected.is_empty(), "{format:?}");
+            for plan in [ScanPlan::Pat, ScanPlan::Fat] {
+                for n in 1..=9 {
+                    let blocks = plan.blocks(format, &input, start, end, n);
+                    let label = format!("{format:?} {plan:?} n={n}");
+                    assert!(!blocks.is_empty() && blocks.len() <= n, "{label}");
+                    assert_eq!(blocks[0].start, start, "{label}");
+                    assert_eq!(blocks[blocks.len() - 1].end, end, "{label}");
+                    for w in blocks.windows(2) {
+                        assert_eq!(w[0].end, w[1].start, "{label}: no gap or overlap");
+                        assert!(!w[1].is_empty(), "{label}");
+                    }
+                    if plan == ScanPlan::Pat {
+                        for b in &blocks {
+                            assert!(input[b.start..].starts_with(marker), "{label}");
+                        }
+                    }
+                    assert_eq!(
+                        scan_blocks(plan, format, &input, &blocks),
+                        expected,
+                        "{label}: the range scans to exactly its own features"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scan_plan_resolve_follows_format_resolve_mode() {
+        let ds = atgis_datagen::OsmGenerator::new(80).generate(40);
+        let xml = atgis_datagen::write_osm_xml(&ds);
+        for mode in [Mode::Pat, Mode::Fat, Mode::Adaptive] {
+            for n in [1, 4, 64] {
+                assert_eq!(
+                    ScanPlan::resolve(Format::OsmXml, mode, &xml, n),
+                    ScanPlan::Xml
+                );
+            }
+        }
+        let mut adaptive = Vec::new();
+        for (format, input) in [
+            (Format::GeoJson, atgis_datagen::write_geojson(&ds)),
+            (Format::Wkt, atgis_datagen::write_wkt(&ds)),
+        ] {
+            // 40 records give plenty of markers for 1 block and too few
+            // for 64, so Adaptive takes both branches.
+            for n in [1, 4, 64] {
+                assert_eq!(
+                    ScanPlan::resolve(format, Mode::Pat, &input, n),
+                    ScanPlan::Pat
+                );
+                assert_eq!(
+                    ScanPlan::resolve(format, Mode::Fat, &input, n),
+                    ScanPlan::Fat
+                );
+                let want = match format.resolve_mode(Mode::Adaptive, &input, n) {
+                    Mode::Fat => ScanPlan::Fat,
+                    _ => ScanPlan::Pat,
+                };
+                let got = ScanPlan::resolve(format, Mode::Adaptive, &input, n);
+                assert_eq!(got, want, "{format:?} n={n}");
+                adaptive.push(got);
+            }
+        }
+        assert!(adaptive.contains(&ScanPlan::Pat) && adaptive.contains(&ScanPlan::Fat));
     }
 }

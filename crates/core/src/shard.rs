@@ -21,17 +21,18 @@
 //! differential suite pins this across {1, 2, 4, 8}.
 //!
 //! Shard boundaries come from the same marker-aligned split the PAT
-//! scan uses ([`marker_blocks`]), so no feature ever straddles a shard
-//! and per-shard scans of either PAT or FAT mode compose exactly.
+//! scan uses (the scan kernel's PAT blocks, [`crate::pipeline`]), so
+//! no feature ever straddles a shard and per-shard scans of either PAT
+//! or FAT mode compose exactly.
 
 use crate::cancel::CancelToken;
 use crate::dataset::Dataset;
 use crate::engine::Engine;
-use crate::pipeline::QueryAggregate;
+use crate::pipeline::{absorb_range, QueryAggregate, ScanPlan};
 use crate::query::{Query, ScanClass};
 use crate::Result;
 use atgis_formats::feature::{MetadataFilter, RawFeature};
-use atgis_formats::{marker_blocks, Format};
+use atgis_formats::{Block, Format};
 use atgis_geometry::Mbr;
 
 /// One shard: a half-open, marker-aligned byte range of the dataset
@@ -108,55 +109,32 @@ impl ShardSet {
         count: usize,
         token: Option<&CancelToken>,
     ) -> Result<ShardSet> {
-        let input = dataset.bytes();
-        let marker: &[u8] = match dataset.format() {
-            Format::GeoJson => atgis_formats::geojson::FEATURE_MARKER,
-            _ => b"\n",
+        // XML relations need the whole node table: one global parse,
+        // then each range absorbs its own features by offset.
+        let all = &MetadataFilter::All;
+        let format = dataset.format();
+        let xml = match format {
+            Format::OsmXml => Some(engine.parse_xml(dataset, all, token)?.0),
+            Format::GeoJson | Format::Wkt => None,
         };
-        let ranges: Vec<(usize, usize)> = marker_blocks(input, marker, count.max(1))
-            .into_iter()
-            .map(|b| (b.start, b.end))
-            .collect();
-
+        let ranges = ScanPlan::Pat.blocks(format, dataset.bytes(), 0, dataset.len(), count);
         let mut shards = Vec::with_capacity(ranges.len());
-        match dataset.format() {
-            Format::OsmXml => {
-                // One global parse (relations need the whole node
-                // table), then bucket features into ranges by offset.
-                let (features, _t) = engine.parse_xml(dataset, &MetadataFilter::All, token)?;
-                for &(start, end) in &ranges {
-                    let mut probe = MbrProbe::default();
-                    for f in &features {
-                        if (start as u64) <= f.offset && f.offset < end as u64 {
-                            probe.absorb(f);
-                        }
-                    }
-                    shards.push(Shard {
-                        start,
-                        end,
-                        mbr: probe.mbr,
-                        features: probe.count,
-                    });
+        for Block { start, end, .. } in ranges {
+            let mut probe = MbrProbe::default();
+            match &xml {
+                Some(features) => absorb_range(&mut probe, features, start, end),
+                None => {
+                    probe = engine
+                        .scan_range_cancellable(dataset, start, end, all, probe, token)?
+                        .0
                 }
             }
-            _ => {
-                for &(start, end) in &ranges {
-                    let (probe, _t) = engine.scan_range_cancellable(
-                        dataset,
-                        start,
-                        end,
-                        &MetadataFilter::All,
-                        MbrProbe::default(),
-                        token,
-                    )?;
-                    shards.push(Shard {
-                        start,
-                        end,
-                        mbr: probe.mbr,
-                        features: probe.count,
-                    });
-                }
-            }
+            shards.push(Shard {
+                start,
+                end,
+                mbr: probe.mbr,
+                features: probe.count,
+            });
         }
         Ok(ShardSet { shards })
     }

@@ -13,6 +13,12 @@
 //! `O(workers)` (one per gap between completed runs), never
 //! `O(chunks)`.
 //!
+//! The scan itself is the kernel in [`crate::pipeline`] that the
+//! buffered scan also drives: the same plan resolution, block cutting
+//! and fragment process/merge/finish. What this module adds is *when*
+//! a region may go out, and regions of up to `DISPATCH_TARGET` bytes
+//! instead of `threads × block_multiplier` blocks.
+//!
 //! Region safety per mode:
 //!
 //! * **FAT** — blocks may start anywhere (that is the whole point of
@@ -38,16 +44,16 @@
 
 use crate::cancel::CancelToken;
 use crate::dataset::{Dataset, StreamBuffer};
-use crate::engine::{parse_wkt_rows, Engine};
+use crate::engine::Engine;
 use crate::exec::{self, ExecOptions, RunOutcome};
 use crate::executor::StreamMerger;
-use crate::pipeline::{FatGeoJsonFrag, FatWktFrag, QueryAggregate};
+use crate::pipeline::{QueryAggregate, ScanFrag, ScanPlan};
 use crate::pool::recover;
 use crate::stats::{StreamStats, Timings};
 use crate::{Error, Result};
 use atgis_formats::feature::MetadataFilter;
 use atgis_formats::split::find_marker;
-use atgis_formats::{fixed_blocks, marker_blocks, Block, Format, Mode, ParseError};
+use atgis_formats::{Format, Mode, ParseError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -276,48 +282,12 @@ pub(crate) fn reserve(size_hint: Option<usize>) -> Result<StreamBuffer> {
     }
 }
 
-/// How the scan cuts dispatchable regions for the resolved mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RegionPlan {
-    /// Marker-aligned PAT dispatch: regions end at the last seen
-    /// marker (`boundary_skip` bytes *after* the marker start — 0 for
-    /// GeoJSON feature markers, `marker.len()` for WKT newlines).
-    Pat {
-        marker: &'static [u8],
-        boundary_skip: usize,
-    },
-    /// Arbitrary-offset FAT dispatch: every published byte goes out
-    /// immediately.
-    Fat,
-    /// Buffer only; parse at seal (OSM XML's global node table).
-    Sealed,
-}
-
-/// One scan fragment in flight: the PAT aggregate itself, or a FAT
-/// parse fragment still carrying unresolved block edges.
-enum Frag<A: QueryAggregate> {
-    Pat(A),
-    FatG(Box<FatGeoJsonFrag<A>>),
-    FatW(Box<FatWktFrag<A>>),
-}
-
-fn merge_frag<A: QueryAggregate>(
-    a: Frag<A>,
-    b: Frag<A>,
-    input: &[u8],
-    filter: &MetadataFilter,
-) -> std::result::Result<Frag<A>, ParseError> {
-    match (a, b) {
-        (Frag::Pat(x), Frag::Pat(y)) => Ok(Frag::Pat(x.combine(y))),
-        (Frag::FatG(x), Frag::FatG(y)) => Ok(Frag::FatG(Box::new(x.merge(*y, input, filter)?))),
-        (Frag::FatW(x), Frag::FatW(y)) => Ok(Frag::FatW(Box::new(x.merge(*y, input, filter)?))),
-        _ => unreachable!("one resolved mode per scan"),
-    }
-}
-
 /// An incremental scan over a growing stream: append chunks, dispatch
 /// the newly-safe regions to the worker pool, seal into the final
-/// aggregate plus the (zero-copy) sealed [`Dataset`].
+/// aggregate plus the (zero-copy) sealed [`Dataset`]. A driver over the
+/// scan kernel in [`crate::pipeline`]: regions are cut by the kernel's
+/// `ScanPlan` and processed into the same `ScanFrag`s a buffered scan
+/// folds, here pushed into a long-lived [`StreamMerger`].
 ///
 /// Used directly by `QuerySession::ingest_chunk` (synchronous,
 /// pool released between calls so prefix queries can interleave) and
@@ -326,11 +296,9 @@ fn merge_frag<A: QueryAggregate>(
 pub(crate) struct StreamingScan<A: QueryAggregate + 'static> {
     buf: Arc<StreamBuffer>,
     format: Format,
-    filter: MetadataFilter,
     proto: A,
-    /// Engine-configured mode (possibly `Adaptive`).
-    configured: Mode,
-    plan: Option<RegionPlan>,
+    /// Resolved on the first non-empty dispatch.
+    plan: Option<ScanPlan>,
     /// Bytes already covered by dispatched regions.
     dispatched: usize,
     /// Next byte to inspect in the marker scan.
@@ -339,7 +307,7 @@ pub(crate) struct StreamingScan<A: QueryAggregate + 'static> {
     boundary: usize,
     /// Next region ordinal (the merger's index space).
     next_region: usize,
-    merger: Mutex<StreamMerger<Frag<A>, ParseError>>,
+    merger: Mutex<StreamMerger<ScanFrag<A>, ParseError>>,
     pub(crate) stats: StreamStats,
     split_time: std::time::Duration,
     run_time: std::time::Duration,
@@ -350,19 +318,12 @@ impl<A: QueryAggregate + 'static> StreamingScan<A> {
     /// prototype. The buffer reservation is exact when the stream
     /// size is known (`size_hint`), otherwise a generous virtual
     /// reservation with a back-off ladder.
-    pub fn new(
-        engine: &Engine,
-        format: Format,
-        proto: A,
-        size_hint: Option<usize>,
-    ) -> Result<Self> {
+    pub fn new(format: Format, proto: A, size_hint: Option<usize>) -> Result<Self> {
         let buf = reserve(size_hint)?;
         Ok(StreamingScan {
             buf: Arc::new(buf),
             format,
-            filter: MetadataFilter::All,
             proto,
-            configured: engine.config().mode,
             plan: None,
             dispatched: 0,
             marker_scan: 0,
@@ -391,10 +352,10 @@ impl<A: QueryAggregate + 'static> StreamingScan<A> {
     /// table, so no prefix answer would be sound.
     pub fn queryable_len(&self) -> usize {
         match self.plan {
-            Some(RegionPlan::Sealed) | None => 0,
+            Some(ScanPlan::Xml) | None => 0,
             // Both PAT and FAT prefixes are cut at the marker
             // boundary: `boundary` tracks it in every non-XML plan.
-            Some(_) => self.boundary,
+            Some(ScanPlan::Pat | ScanPlan::Fat) => self.boundary,
         }
     }
 
@@ -413,62 +374,39 @@ impl<A: QueryAggregate + 'static> StreamingScan<A> {
         self.dispatch(engine, false, None)
     }
 
-    /// Resolves the region plan on first contact with real bytes.
+    /// Resolves the scan plan on first contact with real bytes.
+    /// `Adaptive` resolves on the bytes seen so far — any choice is
+    /// result-identical (PAT and FAT parse the same feature stream and
+    /// the aggregates are order-invariant), so resolving early costs
+    /// nothing but a different throughput profile.
     fn resolve_plan(&mut self, engine: &Engine) {
-        if self.plan.is_some() {
+        if self.plan.is_some() || self.buf.is_empty() {
             return;
         }
-        let len = self.buf.len();
-        if len == 0 {
-            return;
-        }
-        let mode = match (self.format, self.configured) {
-            (Format::OsmXml, _) => {
-                self.plan = Some(RegionPlan::Sealed);
-                return;
-            }
-            (_, Mode::Adaptive) => {
-                // Resolve on the bytes seen so far — any choice is
-                // result-identical (PAT and FAT parse the same feature
-                // stream and the aggregates are order-invariant), so
-                // resolving early costs nothing but a different
-                // throughput profile.
-                let marker = self.marker();
-                atgis_formats::resolve_adaptive(self.buf.bytes(), marker, engine.block_count())
-            }
-            (_, m) => m,
+        let plan = ScanPlan::resolve(
+            self.format,
+            engine.config().mode,
+            self.buf.bytes(),
+            engine.block_count(),
+        );
+        self.stats.resolved_mode = match plan {
+            ScanPlan::Pat => Some(Mode::Pat),
+            ScanPlan::Fat => Some(Mode::Fat),
+            ScanPlan::Xml => None,
         };
-        self.stats.resolved_mode = Some(mode);
-        self.plan = Some(match mode {
-            Mode::Fat => RegionPlan::Fat,
-            _ => RegionPlan::Pat {
-                marker: self.marker(),
-                boundary_skip: self.marker_skip(),
-            },
-        });
-    }
-
-    fn marker(&self) -> &'static [u8] {
-        match self.format {
-            Format::GeoJson => atgis_formats::geojson::FEATURE_MARKER,
-            _ => b"\n",
-        }
-    }
-
-    /// Bytes between a marker's start and the safe cut point: a WKT
-    /// row *starts after* its preceding newline, a GeoJSON feature
-    /// starts *at* its marker. The single source of the rule for both
-    /// PAT dispatch and the FAT queryable-prefix tracking.
-    fn marker_skip(&self) -> usize {
-        match self.format {
-            Format::Wkt => 1,
-            _ => 0,
-        }
+        self.plan = Some(plan);
     }
 
     /// Advances the marker scan over newly published bytes, updating
-    /// the safe boundary. O(total bytes) across the whole stream.
-    fn advance_boundary(&mut self, marker: &'static [u8], skip: usize) {
+    /// the safe boundary: the last record start seen. A WKT row starts
+    /// *after* its preceding newline, a GeoJSON feature *at* its
+    /// marker. O(total bytes) across the whole stream.
+    fn advance_boundary(&mut self) {
+        let marker = self.format.record_marker();
+        let skip = match self.format {
+            Format::Wkt => marker.len(),
+            Format::GeoJson | Format::OsmXml => 0,
+        };
         let len = self.buf.len();
         let input = self.buf.slice_to(len);
         let mut from = self.marker_scan;
@@ -499,34 +437,21 @@ impl<A: QueryAggregate + 'static> StreamingScan<A> {
         token: Option<&CancelToken>,
     ) -> Result<()> {
         self.resolve_plan(engine);
-        let Some(plan) = self.plan else {
-            return Ok(()); // nothing ingested yet
+        let plan = match self.plan {
+            // Nothing ingested yet, or XML (parsed whole at seal).
+            None | Some(ScanPlan::Xml) => return Ok(()),
+            Some(plan) => plan,
         };
         let len = self.buf.len();
         let started = Instant::now();
-        let end = match plan {
-            RegionPlan::Sealed => {
-                return Ok(());
-            }
-            RegionPlan::Pat {
-                marker,
-                boundary_skip,
-            } => {
-                self.advance_boundary(marker, boundary_skip);
-                if at_eof {
-                    len
-                } else {
-                    self.boundary
-                }
-            }
-            RegionPlan::Fat => {
-                // Track the marker boundary anyway: it defines the
-                // queryable prefix for sessions.
-                let marker = self.marker();
-                let skip = self.marker_skip();
-                self.advance_boundary(marker, skip);
-                len
-            }
+        // PAT dispatches only up to the last record start (the held
+        // tail goes out at EOF); FAT dispatches every published byte
+        // and tracks the boundary only for the queryable prefix.
+        self.advance_boundary();
+        let end = if at_eof || plan == ScanPlan::Fat {
+            len
+        } else {
+            self.boundary
         };
         if end <= self.dispatched {
             self.split_time += started.elapsed();
@@ -534,8 +459,7 @@ impl<A: QueryAggregate + 'static> StreamingScan<A> {
         }
         let start = self.dispatched;
         let region_len = end - start;
-        // Cut the region for pool parallelism: PAT sub-cuts stay
-        // marker-aligned, FAT cuts anywhere.
+        // Cut the region for pool parallelism.
         let pieces = region_len
             .div_ceil(DISPATCH_TARGET)
             .max(if region_len >= 4 * 1024 {
@@ -543,33 +467,11 @@ impl<A: QueryAggregate + 'static> StreamingScan<A> {
             } else {
                 1
             });
-        let blocks: Vec<Block> = match plan {
-            RegionPlan::Pat { marker, .. } => {
-                marker_blocks(&self.buf.slice_to(end)[start..], marker, pieces)
-                    .into_iter()
-                    .filter(|b| !b.is_empty())
-                    .map(|b| Block {
-                        index: 0,
-                        start: b.start + start,
-                        end: b.end + start,
-                    })
-                    .collect()
-            }
-            _ => fixed_blocks(region_len, pieces)
-                .into_iter()
-                .filter(|b| !b.is_empty())
-                .map(|b| Block {
-                    index: 0,
-                    start: b.start + start,
-                    end: b.end + start,
-                })
-                .collect(),
-        };
+        let input = self.buf.slice_to(len);
+        let format = self.format;
+        let blocks = plan.blocks(format, input, start, end, pieces);
         self.dispatched = end;
         self.split_time += started.elapsed();
-        if blocks.is_empty() {
-            return Ok(());
-        }
         let base = self.next_region;
         self.next_region += blocks.len();
         self.stats.regions += blocks.len() as u64;
@@ -577,30 +479,17 @@ impl<A: QueryAggregate + 'static> StreamingScan<A> {
         // Run the regions on the pool; each completion folds straight
         // into the shared merger (see `StreamMerger`), so merging of
         // earlier regions overlaps the scanning of later ones.
-        let input = self.buf.slice_to(len);
         let merger = &self.merger;
         let proto = &self.proto;
-        let filter = &self.filter;
-        let format = self.format;
+        let filter = &MetadataFilter::All;
         let started = Instant::now();
         let run = engine
             .pool()
             .run_cancellable(blocks.len(), engine.threads(), token, |i| {
                 crate::fault_point!("stream.region");
-                let b = blocks[i];
-                let result: std::result::Result<Frag<A>, ParseError> = match plan {
-                    RegionPlan::Pat { .. } => process_pat(input, b, format, filter, proto),
-                    RegionPlan::Fat => match format {
-                        Format::GeoJson => FatGeoJsonFrag::process(input, b, filter, proto)
-                            .map(|f| Frag::FatG(Box::new(f))),
-                        _ => FatWktFrag::process(input, b, filter, proto)
-                            .map(|f| Frag::FatW(Box::new(f))),
-                    },
-                    RegionPlan::Sealed => unreachable!("sealed plans dispatch nothing"),
-                };
-                match result {
+                match ScanFrag::process(plan, format, input, blocks[i], filter, proto) {
                     Ok(frag) => StreamMerger::push_shared(merger, base + i, frag, |a, c| {
-                        merge_frag(a, c, input, filter)
+                        a.merge(c, input, filter)
                     }),
                     Err(e) => recover(merger.lock()).poison(e),
                 }
@@ -612,15 +501,9 @@ impl<A: QueryAggregate + 'static> StreamingScan<A> {
     /// Seals the stream: dispatches the tail, finalises the fold and
     /// returns the aggregate plus the sealed zero-copy dataset,
     /// timings and stream statistics. XML (and empty) streams run the
-    /// ordinary buffered pass here.
-    pub fn seal(self, engine: &Engine) -> Result<(A, Dataset, Timings, StreamStats)> {
-        self.seal_cancellable(engine, None)
-    }
-
-    /// [`StreamingScan::seal`] under an optional [`CancelToken`]: the
-    /// tail dispatch and the XML buffered pass observe the token at
-    /// region granularity.
-    pub fn seal_cancellable(
+    /// ordinary buffered pass here. The tail dispatch and the XML pass
+    /// observe `token` at region granularity.
+    pub fn seal(
         mut self,
         engine: &Engine,
         token: Option<&CancelToken>,
@@ -640,47 +523,25 @@ impl<A: QueryAggregate + 'static> StreamingScan<A> {
             process: self.run_time - merge_time,
             merge: merge_time,
         };
-        let needs_buffered_pass = matches!(self.plan, Some(RegionPlan::Sealed) | None);
-        if needs_buffered_pass {
-            let (agg, t) =
-                engine.single_pass_cancellable(&dataset, &self.filter, self.proto, token)?;
+        if matches!(self.plan, Some(ScanPlan::Xml) | None) {
+            let (agg, t) = engine.scan_range_cancellable(
+                &dataset,
+                0,
+                len,
+                &MetadataFilter::All,
+                self.proto,
+                token,
+            )?;
             return Ok((agg, dataset, t, stats));
         }
         let started = Instant::now();
-        let input = dataset.bytes();
-        let agg = match merger.finish().map_err(Error::Parse)? {
+        let agg = match merger.finish()? {
             None => self.proto,
-            Some(Frag::Pat(a)) => a,
-            Some(Frag::FatG(f)) => f.finalize(input, &self.filter).map_err(Error::Parse)?,
-            Some(Frag::FatW(f)) => f.finalize(input, &self.filter).map_err(Error::Parse)?,
+            Some(frag) => frag.finish(dataset.bytes(), &MetadataFilter::All)?,
         };
         timings.merge += started.elapsed();
         Ok((agg, dataset, timings, stats))
     }
-}
-
-/// PAT region processing: block-local parse, absorb into a clone of
-/// the prototype.
-fn process_pat<A: QueryAggregate>(
-    input: &[u8],
-    b: Block,
-    format: Format,
-    filter: &MetadataFilter,
-    proto: &A,
-) -> std::result::Result<Frag<A>, ParseError> {
-    let mut agg = proto.clone();
-    let mut features = Vec::new();
-    match format {
-        Format::GeoJson => {
-            atgis_formats::geojson::fast::parse_block(input, b.start, b.end, filter, &mut features)?
-        }
-        Format::Wkt => parse_wkt_rows(input, b.start, b.end, filter, &mut features)?,
-        Format::OsmXml => unreachable!("XML never dispatches PAT regions"),
-    }
-    for f in &features {
-        agg.absorb(f);
-    }
-    Ok(Frag::Pat(agg))
 }
 
 impl Engine {
@@ -871,8 +732,7 @@ mod tests {
     fn queryable_prefix_advances_only_at_markers() {
         let engine = Engine::builder().threads(2).build();
         let doc = tiny_geojson();
-        let mut scan =
-            StreamingScan::new(&engine, Format::GeoJson, world_agg(), Some(doc.len())).unwrap();
+        let mut scan = StreamingScan::new(Format::GeoJson, world_agg(), Some(doc.len())).unwrap();
         // Feed one byte at a time: the queryable prefix must only ever
         // sit at 0 or at a feature-marker boundary, never mid-feature.
         let marker = atgis_formats::geojson::FEATURE_MARKER;
@@ -890,7 +750,7 @@ mod tests {
                 "queryable prefix {q} is not a marker boundary"
             );
         }
-        let (agg, dataset, _, stats) = scan.seal(&engine).unwrap();
+        let (agg, dataset, _, stats) = scan.seal(&engine, None).unwrap();
         assert_eq!(agg.matches.len(), 2, "both features parsed once");
         assert_eq!(dataset.len(), doc.len());
         assert_eq!(stats.chunks, doc.len() as u64);
@@ -909,10 +769,10 @@ mod tests {
             .expect("escape present");
         for cut in escape_at..escape_at + 6 {
             let mut scan =
-                StreamingScan::new(&engine, Format::GeoJson, world_agg(), Some(doc.len())).unwrap();
+                StreamingScan::new(Format::GeoJson, world_agg(), Some(doc.len())).unwrap();
             scan.ingest(&engine, &doc[..cut]).unwrap();
             scan.ingest(&engine, &doc[cut..]).unwrap();
-            let (agg, ..) = scan.seal(&engine).unwrap();
+            let (agg, ..) = scan.seal(&engine, None).unwrap();
             assert_eq!(agg.matches.len(), 2, "cut={cut}");
         }
     }
@@ -923,11 +783,10 @@ mod tests {
         let doc = b"1\tPOINT(1.2345678 50.8765432)\t\n2\tPOINT(2.5 51.5)\t\n".to_vec();
         let digit_at = 10usize; // inside "1.2345678"
         for cut in digit_at..digit_at + 8 {
-            let mut scan =
-                StreamingScan::new(&engine, Format::Wkt, world_agg(), Some(doc.len())).unwrap();
+            let mut scan = StreamingScan::new(Format::Wkt, world_agg(), Some(doc.len())).unwrap();
             scan.ingest(&engine, &doc[..cut]).unwrap();
             scan.ingest(&engine, &doc[cut..]).unwrap();
-            let (agg, ..) = scan.seal(&engine).unwrap();
+            let (agg, ..) = scan.seal(&engine, None).unwrap();
             assert_eq!(agg.matches.len(), 2, "cut={cut}");
         }
     }
@@ -936,11 +795,10 @@ mod tests {
     fn empty_final_chunk_at_eof_is_harmless() {
         let engine = Engine::builder().build();
         let doc = b"1\tPOINT(1.5 50.5)\t\n".to_vec();
-        let mut scan =
-            StreamingScan::new(&engine, Format::Wkt, world_agg(), Some(doc.len())).unwrap();
+        let mut scan = StreamingScan::new(Format::Wkt, world_agg(), Some(doc.len())).unwrap();
         scan.ingest(&engine, &doc).unwrap();
         scan.ingest(&engine, b"").unwrap();
-        let (agg, dataset, _, stats) = scan.seal(&engine).unwrap();
+        let (agg, dataset, _, stats) = scan.seal(&engine, None).unwrap();
         assert_eq!(agg.matches.len(), 1);
         assert_eq!(dataset.len(), doc.len());
         assert_eq!(stats.chunks, 2, "the empty chunk still counts");

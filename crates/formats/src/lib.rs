@@ -51,6 +51,31 @@ pub enum Format {
     OsmXml,
 }
 
+impl Format {
+    /// The literal a record starts at: the marker PAT splits cut
+    /// blocks at (§3.5) — `{"type":"Feature"` for GeoJSON, a newline
+    /// for WKT rows and OSM XML lines. The one statement of the marker
+    /// rule for splitting, adaptive resolution, streamed dispatch and
+    /// shard layout.
+    pub fn record_marker(self) -> &'static [u8] {
+        match self {
+            Format::GeoJson => geojson::FEATURE_MARKER,
+            Format::Wkt | Format::OsmXml => b"\n",
+        }
+    }
+
+    /// The mode a scan of `input` runs in: `Mode::Adaptive` resolves to
+    /// PAT or FAT from this format's marker density (see
+    /// [`resolve_adaptive`]) for `want_blocks` parallel blocks; `Pat`
+    /// and `Fat` are returned unchanged.
+    pub fn resolve_mode(self, mode: Mode, input: &[u8], want_blocks: usize) -> Mode {
+        match mode {
+            Mode::Adaptive => resolve_adaptive(input, self.record_marker(), want_blocks),
+            m => m,
+        }
+    }
+}
+
 /// Parsing execution mode (§5's AT-GIS-FAT vs AT-GIS-PAT).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Mode {
@@ -102,17 +127,7 @@ pub fn parse_all(
     mode: Mode,
     filter: &MetadataFilter,
 ) -> Result<Vec<RawFeature>, ParseError> {
-    let mode = match mode {
-        Mode::Adaptive => {
-            let marker: &[u8] = match format {
-                Format::GeoJson => geojson::FEATURE_MARKER,
-                _ => b"\n",
-            };
-            resolve_adaptive(input, marker, 4)
-        }
-        m => m,
-    };
-    match (format, mode) {
+    match (format, format.resolve_mode(mode, input, 4)) {
         (Format::GeoJson, Mode::Pat) => geojson::parse_pat(input, filter),
         (Format::GeoJson, _) => geojson::parse_fat(input, filter, 4),
         (Format::Wkt, Mode::Pat) => wkt::parse_pat(input, filter),

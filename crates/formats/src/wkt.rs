@@ -221,13 +221,17 @@ fn rings_to_polygon(mut rings: Vec<Vec<Point>>) -> Polygon {
 pub fn parse_pat(input: &[u8], filter: &MetadataFilter) -> Result<Vec<RawFeature>, ParseError> {
     let mut out = Vec::new();
     for block in marker_blocks(input, b"\n", 4) {
-        parse_block_rows(input, block.start, block.end, filter, &mut out)?;
+        parse_block(input, block.start, block.end, filter, &mut out)?;
     }
     Ok(out)
 }
 
-/// Parses every complete row that *starts* within `[start, end)`.
-fn parse_block_rows(
+/// The WKT PAT block parser: parses every complete row that *starts*
+/// within `[start, end)` (a row may run past `end` to its newline),
+/// appending the features to `out`. Blocks cut at newlines tile the
+/// input, so parsing each of them yields exactly [`parse_pat`]'s
+/// features — the WKT counterpart of `geojson::fast::parse_block`.
+pub fn parse_block(
     input: &[u8],
     start: usize,
     end: usize,
@@ -284,7 +288,7 @@ pub fn process_block(
         Some(nl) => {
             let last_nl = bytes.iter().rposition(|&b| b == b'\n').expect("nl exists");
             let mut features = Vec::new();
-            parse_block_rows(
+            parse_block(
                 input,
                 block.start + nl + 1,
                 block.start + last_nl + 1,
@@ -404,6 +408,39 @@ mod tests {
 5\tGEOMETRYCOLLECTION(POINT(9.0 9.0),LINESTRING(1.1 0.0,1.2 1.0))\tnote=listing
 6\tPOLYGON((0.0 0.0,4.0 0.0,4.0 4.0,0.0 4.0),(1.0 1.0,2.0 1.0,2.0 2.0,1.0 2.0))\t
 ";
+
+    #[test]
+    fn parse_block_is_split_invariant() {
+        // 15 newlines (two blank lines among 13 rows), so cutting at
+        // every subset of them splits the input into 1..=16 blocks.
+        let first_row = &SAMPLE[..SAMPLE.find('\n').unwrap() + 1];
+        let doc = format!("{SAMPLE}\n{SAMPLE}\n{first_row}");
+        let input = doc.as_bytes();
+        let expected = crate::parse_all(
+            input,
+            crate::Format::Wkt,
+            crate::Mode::Pat,
+            &MetadataFilter::All,
+        )
+        .unwrap();
+        assert_eq!(expected.len(), 13);
+        let newlines: Vec<usize> = (0..input.len()).filter(|&i| input[i] == b'\n').collect();
+        assert_eq!(newlines.len(), 15);
+        for mask in 0u32..1 << newlines.len() {
+            let mut bounds = vec![0];
+            bounds.extend(
+                (0..newlines.len())
+                    .filter(|i| mask & (1 << i) != 0)
+                    .map(|i| newlines[i]),
+            );
+            bounds.push(input.len());
+            let mut got = Vec::new();
+            for w in bounds.windows(2) {
+                parse_block(input, w[0], w[1], &MetadataFilter::All, &mut got).unwrap();
+            }
+            assert_eq!(got, expected, "cuts {bounds:?}");
+        }
+    }
 
     fn check(features: &[RawFeature]) {
         assert_eq!(features.len(), 6);

@@ -4,10 +4,11 @@
 //! structured `ParseError::TooDeep`, through `parse_all` in PAT and
 //! FAT mode and through `Engine::run` — never a stack overflow that
 //! aborts the process. Nesting within the limit still parses, the
-//! same in both modes.
+//! same in both modes. Path-query metadata filters walk deep
+//! properties iteratively, so they cannot overflow either.
 
 use atgis::{Dataset, Engine, ExecOptions, Query};
-use atgis_formats::{parse_all, Format, MetadataFilter, Mode, ParseError, MAX_NESTING};
+use atgis_formats::{parse_all, Format, MetadataFilter, Mode, ParseError, PathQuery, MAX_NESTING};
 use atgis_geometry::{Geometry, Mbr, Point};
 
 /// Far past any stack the recursive parsers could have survived.
@@ -185,4 +186,38 @@ fn the_limit_is_exact() {
         );
         assert!(matches!(deep, Err(ParseError::TooDeep { .. })), "{mode:?}");
     }
+}
+
+#[test]
+fn deep_properties_under_a_path_filter_are_a_parse_error() {
+    let filter = MetadataFilter::Path(PathQuery::parse(r#"building = "yes""#).unwrap());
+    let input = geojson_deep_properties(DEEP);
+    for mode in [Mode::Pat, Mode::Fat] {
+        match parse_all(&input, Format::GeoJson, mode, &filter) {
+            Err(ParseError::TooDeep { .. }) => {}
+            other => panic!("{mode:?}: expected TooDeep, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn path_queries_over_deep_json_return_without_overflow() {
+    let building = PathQuery::parse(r#"building = "yes""#).unwrap();
+    let deep_array = format!("{}{}", "[".repeat(DEEP), "]".repeat(DEEP));
+    assert!(!building.matches_json(deep_array.as_bytes()));
+    let deep_member = format!(r#"{{"deep":{deep_array},"building":"yes"}}"#);
+    assert!(
+        building.matches_json(deep_member.as_bytes()),
+        "a member after a deep value is still found"
+    );
+
+    // `{"a":{"a":…{"a":1}…}}`, DEEP objects deep: lookups descend
+    // through it without recursing on its depth.
+    let deep_object = format!("{}1{}", r#"{"a":"#.repeat(DEEP), "}".repeat(DEEP));
+    assert!(PathQuery::parse("a.a.a")
+        .unwrap()
+        .matches_json(deep_object.as_bytes()));
+    assert!(!PathQuery::parse("a.a.b")
+        .unwrap()
+        .matches_json(deep_object.as_bytes()));
 }
